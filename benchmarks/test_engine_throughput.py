@@ -14,7 +14,8 @@ kernel runs at ~110 ns/draw vs ~7000 ns/draw for the registry key race
 import json
 import pathlib
 
-from repro.engine.bench import render_bench, run_bench, validate_bench, write_bench
+from repro.bench.record import validate, write
+from repro.engine.bench import render_bench, run_bench
 
 #: The acceptance gate from the issue: n=1000, 1e6 draws, one core.
 GATE_N = 1000
@@ -31,7 +32,7 @@ def test_engine_speedup_gate(benchmark):
         rounds=1,
         iterations=1,
     )
-    validate_bench(report)
+    validate(report)
     print()
     print(render_bench(report))
 
@@ -42,9 +43,9 @@ def test_engine_speedup_gate(benchmark):
     )
 
     # Refresh the committed record and confirm it round-trips.
-    path = write_bench(report, str(_REPO_ROOT / "BENCH_engine.json"))
+    path = write(report, str(_REPO_ROOT / "BENCH_engine.json"))
     with open(path, encoding="utf-8") as fh:
-        validate_bench(json.load(fh))
+        validate(json.load(fh))
 
     benchmark.extra_info["speedup_compiled_vs_registry"] = speedup
     benchmark.extra_info["compiled_ns_per_draw"] = report["results"]["compiled_ns_per_draw"]

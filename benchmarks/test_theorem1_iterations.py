@@ -69,7 +69,8 @@ def test_race_kernel_speedup_gate(benchmark):
     reason the kernel exists).  In practice the margin is ~4 orders of
     magnitude.
     """
-    from repro.engine.race_bench import run_bench_race, validate_bench_race
+    from repro.bench.record import validate
+    from repro.engine.race_bench import run_bench_race
 
     report = benchmark.pedantic(
         run_bench_race,
@@ -77,7 +78,7 @@ def test_race_kernel_speedup_gate(benchmark):
         rounds=1,
         iterations=1,
     )
-    validate_bench_race(report)
+    validate(report)
     results = report["results"]
     assert results["speedup_vs_pram"] >= 50.0, results["speedup_vs_pram"]
     assert results["determinism_rerun_identical"] is True

@@ -2,17 +2,12 @@
 
 Runs the paper-reproduction experiments registered in
 :data:`repro.bench.experiments.EXPERIMENTS` and prints their tables, the
-selection-engine benchmark (``python -m repro bench-engine``, recorded in
-``BENCH_engine.json``), the race-lab benchmark (``python -m repro
-bench-race``, recorded in ``BENCH_race.json``), the end-to-end ACO
-benchmark (``python -m repro bench-aco``, recorded in
-``BENCH_aco.json``), the differential degenerate-wheel audit
-(``python -m repro audit``, exit 0 iff zero violations across every
-backend), the async selection service (``python -m repro serve``,
-JSON-lines over TCP or stdio), the serving benchmark (``python -m
-repro bench-serve``, recorded in ``BENCH_serve.json``), and the
-selection-workloads benchmark (``python -m repro bench-select``,
-recorded in ``BENCH_select.json``).
+seven gate drivers (``python -m repro bench NAME [--smoke]``, each
+recorded in ``BENCH_<NAME>.json``; see :mod:`repro.bench.record`), the
+differential degenerate-wheel audit (``python -m repro audit``, exit 0
+iff zero violations across every backend), the async selection service
+(``python -m repro serve``, binary frames and JSON-lines over TCP or
+stdio), and the experiment workbench (``python -m repro lab``).
 """
 
 from __future__ import annotations
@@ -24,6 +19,7 @@ from typing import List, Optional
 
 from repro._version import __version__
 from repro.bench.experiments import EXPERIMENTS
+from repro.bench.record import DRIVERS
 
 __all__ = ["main", "build_parser"]
 
@@ -60,27 +56,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "experiment",
         nargs="?",
-        choices=sorted(EXPERIMENTS)
-        + ["all", "audit", "bench-aco", "bench-engine", "bench-race", "bench-select", "bench-serve", "bench-tune", "serve"],
+        choices=sorted(EXPERIMENTS) + ["all", "audit", "bench", "serve"],
         help=(
             "experiment to run ('all' runs every paper experiment; "
             "'audit' runs the differential degenerate-wheel audit over "
             "every selection backend; "
-            "'bench-aco' times end-to-end colony construction scalar vs "
-            "the vectorized lockstep engine; "
-            "'bench-engine' times the compiled selection engine; "
-            "'bench-race' validates the batched race kernel against the "
-            "exact round-count law at paper-scale k; "
-            "'bench-select' gates the selection workloads — smooth-"
-            "lottery marginal exactness (precise vs independent-roulette "
-            "at one draw budget) and ranking-&-selection PCS with a "
-            "1-vs-N-worker determinism certificate; "
-            "'bench-serve' measures the micro-batching selection service "
-            "against the per-request baseline, binary frames against "
-            "JSON-lines, and the sharded cluster scaling sweep; "
-            "'bench-tune' calibrates this host, scores the Las Vegas "
-            "speedup predictor against a measured worker sweep, and "
-            "checks autotuned configs against a static sweep; "
+            "'bench NAME' runs one gate driver and records "
+            f"BENCH_NAME.json, NAME one of {', '.join(DRIVERS)}; "
             "'lab' is the declarative experiment workbench — "
             "'lab run CONFIG' executes a TOML/JSON design matrix resumably "
             "with per-cell caching (see 'lab --help'); "
@@ -88,6 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
             "JSON-lines over TCP, sharded across processes with "
             "--workers N)"
         ),
+    )
+    parser.add_argument(
+        "name", nargs="?", metavar="NAME", help="bench only: the gate driver to run"
+    )
+    parser.add_argument(
+        "--smoke",
+        action="store_true",
+        help="bench only: the driver's small CI configuration",
     )
     parser.add_argument(
         "--iterations",
@@ -112,19 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the experiment's raw data as JSON instead of a table",
     )
     parser.add_argument(
-        "--wheel-size",
-        type=int,
-        default=1000,
-        help="bench-engine only: items on the benchmarked wheel (default 1000)",
-    )
-    parser.add_argument(
         "--output",
         type=str,
         default=None,
         help=(
-            "bench-engine / bench-race: where to record the measurements "
-            "(default BENCH_engine.json / BENCH_race.json); "
-            "audit: also write the JSON report here"
+            "bench: where to record the measurements (default "
+            "BENCH_NAME.json); audit: also write the JSON report here"
         ),
     )
     parser.add_argument(
@@ -137,45 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--race-k",
-        type=int,
-        nargs="+",
-        default=None,
-        help="bench-race only: k grid to sweep (default 2^10 2^14 2^17 2^20)",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=None,
         help=(
-            "bench-race: fan-out processes (default: auto-tuned); "
-            "serve: shard worker processes — >1 starts the sharded "
+            "serve only: shard worker processes — >1 starts the sharded "
             "multi-process cluster (default: 1, in-process)"
         ),
-    )
-    parser.add_argument(
-        "--aco-n",
-        type=int,
-        default=500,
-        help="bench-aco only: TSP instance size (default 500, the gate scale)",
-    )
-    parser.add_argument(
-        "--aco-ants",
-        type=int,
-        default=128,
-        help="bench-aco only: ants per lockstep iteration (default 128)",
-    )
-    parser.add_argument(
-        "--select-replications",
-        type=int,
-        default=None,
-        help="bench-select only: screening replications for the PCS gate (default 40)",
-    )
-    parser.add_argument(
-        "--select-systems",
-        type=int,
-        default=None,
-        help="bench-select only: systems K in the slippage configuration (default 10)",
     )
     parser.add_argument(
         "--host",
@@ -198,13 +149,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch",
         type=int,
         default=64,
-        help="serve / bench-serve: requests coalesced per kernel call (default 64)",
+        help="serve only: requests coalesced per kernel call (default 64)",
     )
     parser.add_argument(
         "--max-delay-us",
         type=float,
         default=200.0,
-        help="serve / bench-serve: batching delay bound in microseconds (default 200)",
+        help="serve only: batching delay bound in microseconds (default 200)",
     )
     parser.add_argument(
         "--queue-limit",
@@ -218,219 +169,23 @@ def build_parser() -> argparse.ArgumentParser:
         default=256,
         help="serve only: registry LRU capacity (default 256)",
     )
-    parser.add_argument(
-        "--clients",
-        type=int,
-        default=64,
-        help="bench-serve only: concurrent closed-loop clients (default 64)",
-    )
-    parser.add_argument(
-        "--requests-per-client",
-        type=int,
-        default=32,
-        help="bench-serve only: sequential requests per client (default 32)",
-    )
-    parser.add_argument(
-        "--draws-per-request",
-        type=int,
-        default=8,
-        help="bench-serve only: draws per request (default 8)",
-    )
-    parser.add_argument(
-        "--procs",
-        type=int,
-        default=1,
-        help=(
-            "bench-serve only: load-generator processes for the TCP legs "
-            "(default 1; raise on multi-core hosts so the client side is "
-            "not the bottleneck)"
-        ),
-    )
-    parser.add_argument(
-        "--cluster-workers",
-        type=int,
-        nargs="+",
-        default=None,
-        help=(
-            "bench-serve only: cluster worker counts to sweep "
-            "(default: {1,2,4,8} capped by cpu_count)"
-        ),
-    )
-    parser.add_argument(
-        "--mutate",
-        action="store_true",
-        help=(
-            "bench-serve only: run the served mutate leg (mixed UPDATE/DRAW "
-            "traffic with per-version latency histograms) at the full "
-            "--clients count instead of the light default"
-        ),
-    )
-    parser.add_argument(
-        "--update-every",
-        type=int,
-        default=4,
-        help=(
-            "bench-serve only: mutate leg sends one UPDATE per this many "
-            "requests (default 4; 0 disables updates)"
-        ),
-    )
-    parser.add_argument(
-        "--update-k",
-        type=int,
-        default=8,
-        help="bench-serve only: indices mutated per UPDATE (default 8)",
-    )
-    parser.add_argument(
-        "--update-n",
-        type=int,
-        default=100_000,
-        help=(
-            "bench-serve only: wheel size for the delta-update-vs-"
-            "re-register gate (default 100000, the recorded gate point)"
-        ),
-    )
     return parser
 
 
-def _run_bench_engine(args) -> int:
-    """Run the engine benchmark, record BENCH_engine.json, print a summary."""
-    from repro.engine.bench import render_bench, run_bench, write_bench
+def _run_bench(args) -> int:
+    """Run one gate driver and record it; exit 0 iff the record was written."""
+    from repro.bench import record
 
-    draws = args.iterations if args.iterations is not None else 1_000_000
-    report = run_bench(n=args.wheel_size, draws=draws, seed=args.seed)
-    path = write_bench(report, args.output or "BENCH_engine.json")
+    report = record.run(args.name, seed=args.seed, smoke=args.smoke)
+    try:
+        path = record.write(report, args.output)
+    except ValueError as exc:
+        print(f"bench {args.name}: record refused: {exc}", file=sys.stderr)
+        return 1
     if args.json:
         print(json.dumps(report, indent=2))
     else:
-        print(render_bench(report))
-        print(f"recorded -> {path}")
-    return 0
-
-
-def _run_bench_race(args) -> int:
-    """Run the race-lab benchmark, record BENCH_race.json, print a summary."""
-    from repro.engine.race_bench import (
-        render_bench_race,
-        run_bench_race,
-        write_bench_race,
-    )
-
-    trials = args.iterations if args.iterations is not None else 100_000
-    kwargs = {"trials": trials, "seed": args.seed, "workers": args.workers}
-    if args.race_k is not None:
-        kwargs["ks"] = args.race_k
-        # A custom grid may exclude the default gate point; anchor the
-        # PRAM speedup leg at the grid's smallest k (capped for per-step
-        # machine feasibility).
-        kwargs["pram_k"] = min(min(args.race_k), 256)
-    report = run_bench_race(**kwargs)
-    path = write_bench_race(report, args.output or "BENCH_race.json")
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(render_bench_race(report))
-        print(f"recorded -> {path}")
-    return 0
-
-
-def _run_bench_aco(args) -> int:
-    """Run the end-to-end ACO benchmark, record BENCH_aco.json."""
-    from repro.engine.aco_bench import (
-        render_bench_aco,
-        run_bench_aco,
-        write_bench_aco,
-    )
-
-    iterations = args.iterations if args.iterations is not None else 2
-    report = run_bench_aco(
-        n=args.aco_n,
-        n_ants=args.aco_ants,
-        iterations=iterations,
-        seed=args.seed,
-    )
-    path = write_bench_aco(report, args.output or "BENCH_aco.json")
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(render_bench_aco(report))
-        print(f"recorded -> {path}")
-    return 0
-
-
-def _run_bench_tune(args) -> int:
-    """Run the tuning benchmark, record BENCH_tune.json, print a summary."""
-    from repro.tune.bench import (
-        render_bench_tune,
-        run_bench_tune,
-        write_bench_tune,
-    )
-
-    kwargs = {"seed": args.seed}
-    if args.iterations is not None:
-        kwargs["trials"] = args.iterations
-    report = run_bench_tune(**kwargs)
-    path = write_bench_tune(report, args.output or "BENCH_tune.json")
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(render_bench_tune(report))
-        print(f"recorded -> {path}")
-    return 0
-
-
-def _run_bench_select(args) -> int:
-    """Run the selection-workloads benchmark, record BENCH_select.json."""
-    from repro.select.bench import (
-        render_bench_select,
-        run_bench_select,
-        write_bench_select,
-    )
-
-    kwargs = {"seed": args.seed}
-    if args.iterations is not None:
-        kwargs["lottery_draws"] = args.iterations
-    if args.select_replications is not None:
-        kwargs["rs_replications"] = args.select_replications
-    if args.select_systems is not None:
-        kwargs["rs_systems"] = args.select_systems
-    report = run_bench_select(**kwargs)
-    path = write_bench_select(report, args.output or "BENCH_select.json")
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(render_bench_select(report))
-        print(f"recorded -> {path}")
-    return 0
-
-
-def _run_bench_serve(args) -> int:
-    """Run the serving benchmark, record BENCH_serve.json."""
-    from repro.service.loadgen import (
-        render_bench_serve,
-        run_bench_serve,
-        write_bench_serve,
-    )
-
-    report = run_bench_serve(
-        wheel_size=args.wheel_size,
-        clients=args.clients,
-        requests_per_client=args.requests_per_client,
-        n_draws=args.draws_per_request,
-        seed=args.seed,
-        max_batch=args.max_batch,
-        max_delay_us=args.max_delay_us,
-        procs=args.procs,
-        cluster_workers=args.cluster_workers,
-        mutate=args.mutate,
-        update_every=args.update_every,
-        update_k=args.update_k,
-        update_n=args.update_n,
-    )
-    path = write_bench_serve(report, args.output or "BENCH_serve.json")
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(render_bench_serve(report))
+        print(record.render(report))
         print(f"recorded -> {path}")
     return 0
 
@@ -564,43 +319,29 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "lab":
         # The workbench has its own subcommand tree (run/status/report/
-        # clean/bench/scenarios); delegate before the flat parser runs.
+        # clean/scenarios); delegate before the flat parser runs.
         from repro.lab.cli import main as lab_main
 
         return lab_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.list:
-        for name in sorted(EXPERIMENTS) + [
-            "audit",
-            "bench-aco",
-            "bench-engine",
-            "bench-race",
-            "bench-select",
-            "bench-serve",
-            "bench-tune",
-            "lab",
-            "serve",
-        ]:
+        for name in sorted(EXPERIMENTS) + ["audit", "bench", "lab", "serve"]:
             print(name)
         return 0
     if args.experiment is None:
         parser.print_help()
         return 2
+    if args.experiment == "bench":
+        if args.name not in DRIVERS:
+            parser.error(f"bench NAME must be one of {', '.join(DRIVERS)}")
+        if args.iterations is not None or args.workers is not None or args.engine:
+            parser.error("bench takes no --iterations, --workers or --engine; use --smoke")
+        return _run_bench(args)
+    if args.name is not None or args.smoke:
+        parser.error("NAME and --smoke apply only to 'bench'")
     if args.experiment == "audit":
         return _run_audit(args)
-    if args.experiment == "bench-aco":
-        return _run_bench_aco(args)
-    if args.experiment == "bench-engine":
-        return _run_bench_engine(args)
-    if args.experiment == "bench-race":
-        return _run_bench_race(args)
-    if args.experiment == "bench-select":
-        return _run_bench_select(args)
-    if args.experiment == "bench-serve":
-        return _run_bench_serve(args)
-    if args.experiment == "bench-tune":
-        return _run_bench_tune(args)
     if args.experiment == "serve":
         return _run_serve(args)
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]

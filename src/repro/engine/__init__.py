@@ -4,18 +4,11 @@ Compiles a static wheel once (:class:`CompiledWheel`), streams histograms
 in constant memory (:func:`stream_counts`), fans draws out across
 deterministic worker processes (:func:`parallel_counts`,
 :func:`parallel_select_many`), and advances whole ant colonies in
-lockstep (:mod:`repro.engine.colony`, ``python -m repro bench-aco``).
-See ``python -m repro bench-engine`` for the recorded perf trajectory
+lockstep (:mod:`repro.engine.colony`, ``python -m repro bench aco``).
+See ``python -m repro bench engine`` for the recorded perf trajectory
 (``BENCH_engine.json``).
 """
 
-from repro.engine.aco_bench import (
-    BENCH_ACO_SCHEMA,
-    render_bench_aco,
-    run_bench_aco,
-    validate_bench_aco,
-    write_bench_aco,
-)
 from repro.engine.colony import (
     CDF_METHODS,
     DEFAULT_BLOCK,
@@ -80,9 +73,4 @@ __all__ = [
     "tsp_lockstep_orders",
     "qap_lockstep_assignments",
     "coloring_lockstep_colors",
-    "run_bench_aco",
-    "validate_bench_aco",
-    "write_bench_aco",
-    "render_bench_aco",
-    "BENCH_ACO_SCHEMA",
 ]

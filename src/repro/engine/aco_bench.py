@@ -8,22 +8,18 @@ also records the run's sparsity profile (mean candidate count ``k`` per
 construction step — the ``k << n`` regime the paper targets), times the
 dynamic Fenwick wheel's batched vs scalar paths, and certifies
 seed-for-seed equivalence of the scalar and lockstep constructions on a
-small instance for all three colonies.  :func:`write_bench_aco`
-persists the report as ``BENCH_aco.json``; exposed on the CLI as
-``python -m repro bench-aco``.
+small instance for all three colonies.  ``python -m repro bench aco``
+records the result in ``BENCH_aco.json``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import time
 from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
-from repro._version import __version__
+from repro.bench.record import GATE, NONEMPTY, NUMBER, gate, make_record, render_gates
 from repro.engine.colony import (
     DEFAULT_BLOCK,
     LOCKSTEP_METHODS,
@@ -33,38 +29,30 @@ from repro.engine.colony import (
 )
 from repro.tune.timers import best_of
 
-__all__ = [
-    "run_bench_aco",
-    "validate_bench_aco",
-    "write_bench_aco",
-    "render_bench_aco",
-    "BENCH_ACO_SCHEMA",
+__all__ = ["run_bench_aco", "render_bench_aco", "REQUIRED", "SMOKE"]
+
+#: Paths every ACO record must carry (see :func:`repro.bench.record.validate`).
+REQUIRED = [
+    ("results.per_method", NONEMPTY),
+    *[
+        (f"results.per_method.*.{key}", NUMBER)
+        for key in (
+            "scalar_tours_per_s",
+            "vectorized_tours_per_s",
+            "faithful_tours_per_s",
+            "speedup",
+            "scalar_us_per_draw",
+            "vectorized_us_per_draw",
+        )
+    ],
+    ("results.sparsity.mean_k", NONEMPTY),
+    ("results.dynamic_wheel", NONEMPTY),
+    ("results.equivalence.per_method", NONEMPTY),
+    ("results.equivalence.all_identical", GATE),
 ]
 
-#: Schema tag for BENCH_aco.json (bump on layout changes).
-BENCH_ACO_SCHEMA = "repro/bench-aco/v1"
-
-#: Keys every result block must carry (used by the CI smoke check).
-_REQUIRED_RESULT_KEYS = (
-    "per_method",
-    "sparsity",
-    "dynamic_wheel",
-    "equivalence",
-    "gate_method",
-    "gate_target",
-    "gate_speedup",
-    "gate_met",
-)
-
-#: Keys every per-method entry must carry.
-_REQUIRED_METHOD_KEYS = (
-    "scalar_tours_per_s",
-    "vectorized_tours_per_s",
-    "faithful_tours_per_s",
-    "speedup",
-    "scalar_us_per_draw",
-    "vectorized_us_per_draw",
-)
+#: ``--smoke``: 60 cities, 8 ants, 2 iterations.
+SMOKE = {"n": 60, "n_ants": 8, "iterations": 2}
 
 #: Points kept when decimating the per-step sparsity profile for JSON.
 _PROFILE_POINTS = 50
@@ -289,103 +277,30 @@ def run_bench_aco(
     equivalence = _equivalence_certificate(
         methods, equivalence_n, equivalence_ants, seed
     )
-    gate_speedup = per_method[gate_method]["speedup"]
-
-    return {
-        "schema": BENCH_ACO_SCHEMA,
-        "config": {
-            "n": n,
-            "n_ants": n_ants,
-            "iterations": iterations,
-            "seed": seed,
-            "methods": methods,
-            "scalar_ants": scalar_ants,
-            "block": block,
-            "equivalence_n": equivalence_n,
-            "equivalence_ants": equivalence_ants,
-        },
-        "results": {
-            "per_method": per_method,
-            "sparsity": sparsity,
-            "dynamic_wheel": dynamic_wheel,
-            "equivalence": equivalence,
-            "gate_method": gate_method,
-            "gate_target": gate_target,
-            "gate_speedup": gate_speedup,
-            "gate_met": bool(gate_speedup >= gate_target),
-        },
-        "meta": {
-            "repro": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-            "cpu_count": os.cpu_count(),
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        },
+    config = {
+        "n": n,
+        "n_ants": n_ants,
+        "iterations": iterations,
+        "seed": seed,
+        "methods": methods,
+        "scalar_ants": scalar_ants,
+        "block": block,
+        "equivalence_n": equivalence_n,
+        "equivalence_ants": equivalence_ants,
+        "gate_method": gate_method,
     }
-
-
-def validate_bench_aco(report: Dict[str, Any]) -> None:
-    """Raise ``ValueError`` unless ``report`` is a well-formed ACO bench.
-
-    Checks layout, not performance: a tiny CI smoke run on a loaded
-    shared runner may legitimately miss the speedup gate, so
-    ``gate_met`` is recorded but not required to be true.
-    """
-    if not isinstance(report, dict):
-        raise ValueError("bench report must be a JSON object")
-    if report.get("schema") != BENCH_ACO_SCHEMA:
-        raise ValueError(
-            f"schema mismatch: {report.get('schema')!r} != {BENCH_ACO_SCHEMA!r}"
-        )
-    for section in ("config", "results", "meta"):
-        if not isinstance(report.get(section), dict):
-            raise ValueError(f"missing section {section!r}")
-    results = report["results"]
-    missing = [k for k in _REQUIRED_RESULT_KEYS if k not in results]
-    if missing:
-        raise ValueError(f"missing result keys: {missing}")
-    per_method = results["per_method"]
-    if not isinstance(per_method, dict) or not per_method:
-        raise ValueError("results.per_method must be a non-empty object")
-    for method, entry in per_method.items():
-        if not isinstance(entry, dict):
-            raise ValueError(f"per_method[{method!r}] must be an object")
-        entry_missing = [k for k in _REQUIRED_METHOD_KEYS if k not in entry]
-        if entry_missing:
-            raise ValueError(
-                f"per_method[{method!r}] missing keys: {entry_missing}"
-            )
-        for key in _REQUIRED_METHOD_KEYS:
-            value = entry[key]
-            if not isinstance(value, (int, float)) or value < 0:
-                raise ValueError(
-                    f"per_method[{method!r}].{key} must be a non-negative "
-                    f"number, got {value!r}"
-                )
-    if not isinstance(results["gate_target"], (int, float)):
-        raise ValueError("gate_target must be a number")
-    if results["gate_method"] not in per_method:
-        raise ValueError("gate_method must name a benchmarked method")
-    equivalence = results["equivalence"]
-    if not isinstance(equivalence, dict) or "all_identical" not in equivalence:
-        raise ValueError("results.equivalence must carry all_identical")
-    if equivalence["all_identical"] is not True:
-        raise ValueError(
-            "seed-for-seed equivalence failed: scalar and lockstep "
-            "constructions diverged"
-        )
-    sparsity = results["sparsity"]
-    if not isinstance(sparsity, dict) or not sparsity.get("mean_k"):
-        raise ValueError("results.sparsity must carry a non-empty mean_k profile")
-
-
-def write_bench_aco(report: Dict[str, Any], path: str = "BENCH_aco.json") -> str:
-    """Validate and write an ACO bench report; returns the path."""
-    validate_bench_aco(report)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    return path
+    results = {
+        "per_method": per_method,
+        "sparsity": sparsity,
+        "dynamic_wheel": dynamic_wheel,
+        "equivalence": equivalence,
+    }
+    sections = {"results": results}
+    gates = [
+        gate(sections, "results.equivalence.all_identical", "==", True, required=True),
+        gate(sections, f"results.per_method.{gate_method}.speedup", ">=", gate_target),
+    ]
+    return make_record("aco", config, sections, gates)
 
 
 def render_bench_aco(report: Dict[str, Any]) -> str:
@@ -418,9 +333,5 @@ def render_bench_aco(report: Dict[str, Any]) -> str:
         f"equivalence (n={r['equivalence']['n']}): all colonies identical = "
         f"{r['equivalence']['all_identical']}"
     )
-    lines.append(
-        f"gate [{r['gate_method']}]: {r['gate_speedup']:.1f}x "
-        f"(target {r['gate_target']:.0f}x) -> "
-        f"{'MET' if r['gate_met'] else 'NOT MET'}"
-    )
+    lines.append(render_gates(report))
     return "\n".join(lines)

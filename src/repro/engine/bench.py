@@ -1,44 +1,46 @@
 """The engine's perf gate: measure, compare, and record throughput.
 
 :func:`run_bench` times the registry path against the compiled kernels
-on one wheel configuration and returns a JSON-serialisable report;
-:func:`write_bench` persists it as ``BENCH_engine.json`` so subsequent
-changes have a perf trajectory to regress against.  Exposed on the CLI
-as ``python -m repro bench-engine``.
+on one wheel configuration and returns a :mod:`repro.bench.record`
+record; ``python -m repro bench engine`` writes it to
+``BENCH_engine.json`` so subsequent changes have a perf trajectory to
+regress against.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 import numpy as np
 
-from repro._version import __version__
+from repro.bench.record import NUMBER, gate, make_record, render_gates
 from repro.core.fitness import validate_fitness
 from repro.core.methods.base import get_method
 from repro.engine.compiled import DEFAULT_CHUNK_BYTES, CompiledWheel
 from repro.engine.parallel import parallel_counts, suggest_workers
 from repro.tune.timers import timed
 
-__all__ = ["run_bench", "write_bench", "validate_bench", "BENCH_SCHEMA"]
+__all__ = ["run_bench", "render_bench", "REQUIRED", "SMOKE"]
 
-#: Schema tag for BENCH_engine.json (bump on layout changes).
-BENCH_SCHEMA = "repro/bench-engine/v1"
+#: Paths every engine record must carry (see :func:`repro.bench.record.validate`).
+REQUIRED = [
+    (f"results.{key}", NUMBER)
+    for key in (
+        "registry_select_many_s",
+        "compiled_select_many_s",
+        "compiled_race_select_many_s",
+        "stream_counts_s",
+        "parallel_counts_s",
+        "speedup_compiled_vs_registry",
+        "speedup_race_vs_registry",
+    )
+]
 
-#: Keys every result block must carry (used by the CI smoke check).
-_REQUIRED_RESULT_KEYS = (
-    "registry_select_many_s",
-    "compiled_select_many_s",
-    "compiled_race_select_many_s",
-    "stream_counts_s",
-    "parallel_counts_s",
-    "speedup_compiled_vs_registry",
-    "speedup_race_vs_registry",
-)
+#: ``--smoke``: 50k draws on a 200-item wheel.
+SMOKE = {"draws": 50_000, "n": 200}
+
+#: The engine's acceptance gate: compiled >= 3x the registry path.
+GATE_SPEEDUP = 3.0
 
 
 def run_bench(
@@ -81,64 +83,31 @@ def run_bench(
         )
     )
 
-    return {
-        "schema": BENCH_SCHEMA,
-        "config": {
-            "n": n,
-            "draws": draws,
-            "seed": seed,
-            "method": method,
-            "chunk_bytes": chunk_bytes,
-            "kernel_auto": compiled_auto.kernel,
-            "kernel_faithful": compiled_race.kernel,
-            "workers": workers,
-        },
-        "results": {
-            "registry_select_many_s": registry_s,
-            "compiled_select_many_s": compiled_s,
-            "compiled_race_select_many_s": race_s,
-            "stream_counts_s": counts_s,
-            "parallel_counts_s": parallel_s,
-            "speedup_compiled_vs_registry": registry_s / compiled_s if compiled_s else float("inf"),
-            "speedup_race_vs_registry": registry_s / race_s if race_s else float("inf"),
-            "registry_ns_per_draw": 1e9 * registry_s / draws,
-            "compiled_ns_per_draw": 1e9 * compiled_s / draws,
-        },
-        "meta": {
-            "repro": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-            "cpu_count": os.cpu_count(),
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        },
+    speedup = registry_s / compiled_s if compiled_s else float("inf")
+    config = {
+        "n": n,
+        "draws": draws,
+        "seed": seed,
+        "method": method,
+        "chunk_bytes": chunk_bytes,
+        "kernel_auto": compiled_auto.kernel,
+        "kernel_faithful": compiled_race.kernel,
+        "workers": workers,
     }
-
-
-def validate_bench(report: Dict[str, Any]) -> None:
-    """Raise ``ValueError`` unless ``report`` is a well-formed bench record."""
-    if not isinstance(report, dict):
-        raise ValueError("bench report must be a JSON object")
-    if report.get("schema") != BENCH_SCHEMA:
-        raise ValueError(f"schema mismatch: {report.get('schema')!r} != {BENCH_SCHEMA!r}")
-    for section in ("config", "results", "meta"):
-        if not isinstance(report.get(section), dict):
-            raise ValueError(f"missing section {section!r}")
-    missing = [k for k in _REQUIRED_RESULT_KEYS if k not in report["results"]]
-    if missing:
-        raise ValueError(f"missing result keys: {missing}")
-    for key in _REQUIRED_RESULT_KEYS:
-        value = report["results"][key]
-        if not isinstance(value, (int, float)) or value < 0:
-            raise ValueError(f"result {key!r} must be a non-negative number, got {value!r}")
-
-
-def write_bench(report: Dict[str, Any], path: str = "BENCH_engine.json") -> str:
-    """Validate and write a bench report; returns the path."""
-    validate_bench(report)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    return path
+    results = {
+        "registry_select_many_s": registry_s,
+        "compiled_select_many_s": compiled_s,
+        "compiled_race_select_many_s": race_s,
+        "stream_counts_s": counts_s,
+        "parallel_counts_s": parallel_s,
+        "speedup_compiled_vs_registry": speedup,
+        "speedup_race_vs_registry": registry_s / race_s if race_s else float("inf"),
+        "registry_ns_per_draw": 1e9 * registry_s / draws,
+        "compiled_ns_per_draw": 1e9 * compiled_s / draws,
+    }
+    sections = {"results": results}
+    gates = [gate(sections, "results.speedup_compiled_vs_registry", ">=", GATE_SPEEDUP)]
+    return make_record("engine", config, sections, gates)
 
 
 def render_bench(report: Dict[str, Any]) -> str:
@@ -155,5 +124,6 @@ def render_bench(report: Dict[str, Any]) -> str:
         f"parallel_counts (w={c['workers']})    {r['parallel_counts_s']:.3f} s",
         f"speedup compiled/registry {r['speedup_compiled_vs_registry']:.1f}x",
         f"speedup race/registry     {r['speedup_race_vs_registry']:.2f}x",
+        render_gates(report),
     ]
     return "\n".join(lines)

@@ -460,7 +460,10 @@ def tsp_lockstep_orders(
     uv, W, WM = ws.uv, ws.W, ws.WM
     uv[:, :n] = 1.0
     uv[:, n:] = 0.0
-    allpos = _all_offdiagonal_positive(D)
+    # Decided on the scan buffer, not on D: a weight positive in float64
+    # can underflow to zero in float32, and the fused path must then not
+    # run (it would treat a zero row as live and repeat a city).
+    allpos = _all_offdiagonal_positive(ws.Dp[:, :n])
 
     orders = np.empty((m, n), dtype=np.int64)
     rows = np.arange(m)

@@ -70,7 +70,7 @@ def suggest_workers(
     1. the ``REPRO_MIN_DRAWS_PER_WORKER`` env var — pin any value
        without code changes (tests and CI pin the legacy constant);
     2. the per-host calibration cache written by
-       ``python -m repro bench-tune`` / :func:`repro.tune.calibrate`
+       ``python -m repro bench tune`` / :func:`repro.tune.calibrate`
        (``~/.cache/repro/tune/<host>.json``);
     3. the uncalibrated fallback :data:`MIN_DRAWS_PER_WORKER`.
 

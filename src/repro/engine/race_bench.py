@@ -6,23 +6,29 @@ across a ``k`` grid up to paper scale (``k = 2**20``), checks the
 measured round-count moments and quantiles against the exact harmonic
 law of :mod:`repro.stats.race_theory`, times the per-step PRAM race at
 the largest shared ``k`` for the speedup gate, and re-runs the fan-out
-to certify byte-identical determinism.  :func:`write_bench_race`
-persists the report as ``BENCH_race.json``; exposed on the CLI as
-``python -m repro bench-race``.
+to certify byte-identical determinism.  ``python -m repro bench race``
+records the result in ``BENCH_race.json``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import platform
 import time
 from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
-from repro._version import __version__
+from repro.bench.record import (
+    BOOL,
+    DIGEST,
+    GATE,
+    NONEMPTY,
+    NUMBER,
+    POSITIVE,
+    gate,
+    make_record,
+    render_gates,
+)
 from repro.engine.races import parallel_round_counts, suggest_race_workers
 from repro.pram.algorithms.max_random_write import max_random_write_race
 from repro.rng.streams import stream_seeds
@@ -35,44 +41,32 @@ from repro.stats.race_theory import (
     variance_rounds,
 )
 
-__all__ = [
-    "run_bench_race",
-    "validate_bench_race",
-    "write_bench_race",
-    "render_bench_race",
-    "BENCH_RACE_SCHEMA",
+__all__ = ["run_bench_race", "render_bench_race", "REQUIRED", "SMOKE"]
+
+#: Paths every race record must carry (see :func:`repro.bench.record.validate`).
+REQUIRED = [
+    ("results.per_k", NONEMPTY),
+    *[
+        (f"results.per_k.*.{key}", NUMBER)
+        for key in ("k", "elapsed_s", "trials_per_s", "mean", "exact_mean",
+                    "var", "exact_var", "paper_bound")
+    ],
+    *[(f"results.per_k.*.{key}", NONEMPTY) for key in ("ci", "quantiles", "exact_quantiles")],
+    ("results.per_k.*.trials", POSITIVE),
+    ("results.per_k.*.mean_in_ci", BOOL),
+    ("results.speedup_vs_pram", NUMBER),
+    ("results.pram_k", NUMBER),
+    ("results.pram_s_per_trial", NUMBER),
+    ("results.vector_s_per_trial", NUMBER),
+    ("results.determinism_sha256", DIGEST),
+    ("results.determinism_rerun_identical", GATE),
 ]
 
-#: Schema tag for BENCH_race.json (bump on layout changes).
-BENCH_RACE_SCHEMA = "repro/bench-race/v1"
+#: ``--smoke``: 5000 trials over k in {64, 256}, PRAM leg at k = 64.
+SMOKE = {"trials": 5000, "ks": (64, 256), "pram_k": 64}
 
-#: Keys every result block must carry (used by the CI smoke check).
-_REQUIRED_RESULT_KEYS = (
-    "per_k",
-    "speedup_vs_pram",
-    "pram_k",
-    "pram_s_per_trial",
-    "vector_s_per_trial",
-    "determinism_sha256",
-    "determinism_rerun_identical",
-)
-
-#: Keys every per-k entry must carry.
-_REQUIRED_PER_K_KEYS = (
-    "k",
-    "trials",
-    "elapsed_s",
-    "trials_per_s",
-    "mean",
-    "ci",
-    "exact_mean",
-    "mean_in_ci",
-    "var",
-    "exact_var",
-    "quantiles",
-    "exact_quantiles",
-    "paper_bound",
-)
+#: The vectorized kernel must beat the per-step PRAM race by this factor.
+GATE_SPEEDUP = 50.0
 
 #: Quantile grid recorded per k.
 _QUANTILES = (0.25, 0.5, 0.75, 0.99)
@@ -166,84 +160,33 @@ def run_bench_race(
     digest = hashlib.sha256(first.tobytes()).hexdigest()
     identical = bool(np.array_equal(first, second))
 
-    return {
-        "schema": BENCH_RACE_SCHEMA,
-        "config": {
-            "ks": ks,
-            "trials": trials,
-            "seed": seed,
-            "workers": workers,
-            "pram_k": pram_k,
-            "pram_reps": pram_reps,
-            "confidence": confidence,
-            "quantile_grid": list(_QUANTILES),
-        },
-        "results": {
-            "per_k": per_k,
-            "speedup_vs_pram": speedup,
-            "pram_k": pram_k,
-            "pram_s_per_trial": pram_s_per_trial,
-            "vector_s_per_trial": vector_s_per_trial,
-            "determinism_sha256": digest,
-            "determinism_rerun_identical": identical,
-        },
-        "meta": {
-            "repro": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-            "cpu_count": os.cpu_count(),
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        },
+    config = {
+        "ks": ks,
+        "trials": trials,
+        "seed": seed,
+        "workers": workers,
+        "pram_k": pram_k,
+        "pram_reps": pram_reps,
+        "confidence": confidence,
+        "quantile_grid": list(_QUANTILES),
     }
-
-
-def validate_bench_race(report: Dict[str, Any]) -> None:
-    """Raise ``ValueError`` unless ``report`` is a well-formed race bench."""
-    if not isinstance(report, dict):
-        raise ValueError("bench report must be a JSON object")
-    if report.get("schema") != BENCH_RACE_SCHEMA:
-        raise ValueError(
-            f"schema mismatch: {report.get('schema')!r} != {BENCH_RACE_SCHEMA!r}"
-        )
-    for section in ("config", "results", "meta"):
-        if not isinstance(report.get(section), dict):
-            raise ValueError(f"missing section {section!r}")
-    results = report["results"]
-    missing = [k for k in _REQUIRED_RESULT_KEYS if k not in results]
-    if missing:
-        raise ValueError(f"missing result keys: {missing}")
-    per_k = results["per_k"]
-    if not isinstance(per_k, list) or not per_k:
-        raise ValueError("results.per_k must be a non-empty list")
-    for entry in per_k:
-        if not isinstance(entry, dict):
-            raise ValueError("per_k entries must be objects")
-        entry_missing = [k for k in _REQUIRED_PER_K_KEYS if k not in entry]
-        if entry_missing:
-            raise ValueError(
-                f"per_k entry for k={entry.get('k')!r} missing keys: {entry_missing}"
-            )
-        if entry["elapsed_s"] < 0 or entry["trials"] <= 0:
-            raise ValueError(f"per_k entry for k={entry['k']} has invalid timings")
-    for key in ("speedup_vs_pram", "pram_s_per_trial", "vector_s_per_trial"):
-        value = results[key]
-        if not isinstance(value, (int, float)) or value < 0:
-            raise ValueError(f"result {key!r} must be a non-negative number, got {value!r}")
-    if not isinstance(results["determinism_sha256"], str) or len(
-        results["determinism_sha256"]
-    ) != 64:
-        raise ValueError("determinism_sha256 must be a hex sha256 digest")
-    if results["determinism_rerun_identical"] is not True:
-        raise ValueError("fan-out re-run was not byte-identical (determinism broken)")
-
-
-def write_bench_race(report: Dict[str, Any], path: str = "BENCH_race.json") -> str:
-    """Validate and write a race bench report; returns the path."""
-    validate_bench_race(report)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    return path
+    results = {
+        "per_k": per_k,
+        "speedup_vs_pram": speedup,
+        "pram_k": pram_k,
+        "pram_s_per_trial": pram_s_per_trial,
+        "vector_s_per_trial": vector_s_per_trial,
+        "determinism_sha256": digest,
+        "determinism_rerun_identical": identical,
+        "means_in_ci": sum(e["mean_in_ci"] for e in per_k),
+    }
+    sections = {"results": results}
+    gates = [
+        gate(sections, "results.determinism_rerun_identical", "==", True, required=True),
+        gate(sections, "results.means_in_ci", "==", len(per_k)),
+        gate(sections, "results.speedup_vs_pram", ">=", GATE_SPEEDUP),
+    ]
+    return make_record("race", config, sections, gates)
 
 
 def render_bench_race(report: Dict[str, Any]) -> str:
@@ -268,5 +211,6 @@ def render_bench_race(report: Dict[str, Any]) -> str:
         f"{1e6 * r['vector_s_per_trial']:.2f} us per trial)",
         f"fan-out determinism: sha256 {r['determinism_sha256'][:16]}..."
         f" re-run identical: {r['determinism_rerun_identical']}",
+        render_gates(report),
     ]
     return "\n".join(lines)

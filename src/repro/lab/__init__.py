@@ -10,11 +10,12 @@ re-running with ``--resume`` re-executes only the cells that never
 finished (the same trick as the PR 5 content-addressed wheel registry).
 
 Results export as tidy JSON/CSV rows plus a Tables-I/II-style ASCII
-report; the bench CLIs (bench-engine, bench-race, bench-aco,
-bench-serve) are wired in as scenario plugins so a new scenario PR is a
-config file under ``examples/lab/``, not a new driver.
+report; the gate drivers behind ``python -m repro bench NAME`` (engine,
+race, aco, tune) are wired in as scenario plugins so a new scenario PR
+is a config file under ``examples/lab/``, not a new driver.
 
-Entry point: ``python -m repro lab {run,status,report,clean,bench,scenarios}``.
+Entry point: ``python -m repro lab {run,status,report,clean,scenarios}``;
+the kill-and-resume gate is ``python -m repro bench lab``.
 """
 
 from repro.lab.cells import Cell, Experiment, Grid, canonical_config, cell_key

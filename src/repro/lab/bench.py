@@ -1,6 +1,6 @@
 """The workbench acceptance gate: kill-and-resume with exactly-once cells.
 
-``python -m repro lab bench`` runs a small real matrix (engine + serve
+``python -m repro bench lab`` runs a small real matrix (engine + serve
 scenarios x 2 methods x 2 seeds, plus a block of fixed-duration sleep
 cells that guarantee a mid-run kill window), SIGKILLs the run while a
 cell is executing, resumes it with the same config, and audits the
@@ -12,8 +12,8 @@ execution log:
 * after resume the matrix must be complete, the tidy rows must cover
   every cell, and ``lab report`` must render.
 
-The result is recorded in ``BENCH_lab.json``.  The gate is pure
-correctness (no timing thresholds), so the validator requires it — a
+The result is recorded in ``BENCH_lab.json``.  Every gate is pure
+correctness (no timing thresholds), so every gate is required — a
 loaded CI runner can be slow, but it can never excuse a re-executed
 cell.
 """
@@ -30,23 +30,36 @@ import time
 from typing import Any, Dict, List, Optional
 
 import repro
-from repro._version import __version__
+from repro.bench.record import BOOL, GATE, NUMBER, gate, make_record, render_gates
 from repro.lab.cells import Experiment
 from repro.lab.config import parse_experiment
 from repro.lab.report import render_report, status_counts, tidy_rows
 from repro.lab.runner import run_experiment
 from repro.lab.store import CellStore
 
-__all__ = [
-    "BENCH_LAB_SCHEMA",
-    "gate_config",
-    "run_bench_lab",
-    "validate_bench_lab",
-    "write_bench_lab",
-    "render_bench_lab",
+__all__ = ["gate_config", "run_bench_lab", "render_bench_lab", "REQUIRED", "SMOKE"]
+
+#: Paths every lab record must carry (see :func:`repro.bench.record.validate`).
+REQUIRED = [
+    ("results.killed_mid_run", BOOL),
+    ("results.completed_before_kill", NUMBER),
+    ("results.executed_on_resume", NUMBER),
+    *[
+        (f"results.{key}", GATE)
+        for key in (
+            "re_executed_cells",
+            "duplicate_done_cells",
+            "resume_complete",
+            "tidy_rows",
+            "report_rendered",
+        )
+    ],
+    ("results.phase_a_s", NUMBER),
+    ("results.phase_b_s", NUMBER),
 ]
 
-BENCH_LAB_SCHEMA = "repro-bench-lab-v1"
+#: ``--smoke``: the gate is already small, so smoke is the default run.
+SMOKE: Dict[str, Any] = {}
 
 #: Sleep cells appended after the real scenarios: they open a
 #: deterministic window in which the kill lands mid-cell.
@@ -193,99 +206,38 @@ def run_bench_lab(
         rows = tidy_rows(experiment, store)
         report_text = render_report(experiment, store)
         resume_complete = counts["missing"] == 0 and outcome.failed == 0
-        gate_met = (
-            resume_complete
-            and not re_executed
-            and not duplicate_done
-            and len(rows) == len(cells)
-            and bool(report_text.strip())
-        )
-        return {
-            "schema": BENCH_LAB_SCHEMA,
-            "config": {
-                "seed": seed,
-                "cells": len(cells),
-                "scenarios": sorted({c.scenario for c in cells}),
-                "sleep_cells": _SLEEP_CELLS,
-                "sleep_ms": _SLEEP_MS,
-            },
-            "results": {
-                "killed_mid_run": bool(killed),
-                "completed_before_kill": len(before),
-                "executed_on_resume": outcome.executed,
-                "cached_on_resume": outcome.cached,
-                "re_executed_cells": len(re_executed),
-                "duplicate_done_cells": len(duplicate_done),
-                "resume_complete": bool(resume_complete),
-                "tidy_rows": len(rows),
-                "report_rendered": bool(report_text.strip()),
-                "phase_a_s": phase_a_s,
-                "phase_b_s": phase_b_s,
-                "gate_met": bool(gate_met),
-            },
-            "meta": {
-                "repro": __version__,
-                "python": sys.version.split()[0],
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            },
+        config = {
+            "seed": seed,
+            "cells": len(cells),
+            "scenarios": sorted({c.scenario for c in cells}),
+            "sleep_cells": _SLEEP_CELLS,
+            "sleep_ms": _SLEEP_MS,
         }
+        results = {
+            "killed_mid_run": bool(killed),
+            "completed_before_kill": len(before),
+            "executed_on_resume": outcome.executed,
+            "cached_on_resume": outcome.cached,
+            "re_executed_cells": len(re_executed),
+            "duplicate_done_cells": len(duplicate_done),
+            "resume_complete": bool(resume_complete),
+            "tidy_rows": len(rows),
+            "report_rendered": bool(report_text.strip()),
+            "phase_a_s": phase_a_s,
+            "phase_b_s": phase_b_s,
+        }
+        sections = {"results": results}
+        gates = [
+            gate(sections, "results.re_executed_cells", "==", 0, required=True),
+            gate(sections, "results.duplicate_done_cells", "==", 0, required=True),
+            gate(sections, "results.resume_complete", "==", True, required=True),
+            gate(sections, "results.tidy_rows", "==", len(cells), required=True),
+            gate(sections, "results.report_rendered", "==", True, required=True),
+        ]
+        return make_record("lab", config, sections, gates)
     finally:
         if tmp is not None:
             tmp.cleanup()
-
-
-def validate_bench_lab(report: Dict[str, Any]) -> None:
-    """Raise ``ValueError`` unless ``report`` is a passing gate record.
-
-    Unlike the throughput benches, every check here is correctness —
-    exactly-once execution cannot be excused by a slow runner — so the
-    gate booleans are *required*, not advisory.
-    """
-    if not isinstance(report, dict):
-        raise ValueError("bench-lab report must be a JSON object")
-    if report.get("schema") != BENCH_LAB_SCHEMA:
-        raise ValueError(
-            f"schema mismatch: {report.get('schema')!r} != {BENCH_LAB_SCHEMA!r}"
-        )
-    for section in ("config", "results", "meta"):
-        if not isinstance(report.get(section), dict):
-            raise ValueError(f"missing section {section!r}")
-    results = report["results"]
-    for key in (
-        "completed_before_kill",
-        "re_executed_cells",
-        "duplicate_done_cells",
-        "resume_complete",
-        "tidy_rows",
-        "report_rendered",
-        "gate_met",
-    ):
-        if key not in results:
-            raise ValueError(f"results missing key {key!r}")
-    if results["re_executed_cells"] != 0:
-        raise ValueError(
-            f"{results['re_executed_cells']} finished cells re-executed on "
-            f"resume — the exactly-once contract is broken"
-        )
-    if results["duplicate_done_cells"] != 0:
-        raise ValueError("a cell published twice")
-    if not results["resume_complete"]:
-        raise ValueError("resume did not complete the matrix")
-    if not results["report_rendered"]:
-        raise ValueError("lab report rendered empty")
-    if not results["gate_met"]:
-        raise ValueError("gate not met")
-
-
-def write_bench_lab(
-    report: Dict[str, Any], path: str = "BENCH_lab.json"
-) -> str:
-    """Validate and record the gate; returns the path written."""
-    validate_bench_lab(report)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    return path
 
 
 def render_bench_lab(report: Dict[str, Any]) -> str:
@@ -302,6 +254,6 @@ def render_bench_lab(report: Dict[str, Any]) -> str:
         f"re-executed finished cells: {r['re_executed_cells']} "
         f"(duplicate publishes: {r['duplicate_done_cells']})",
         f"tidy rows: {r['tidy_rows']}  report rendered: {r['report_rendered']}",
-        f"gate: {'MET' if r['gate_met'] else 'MISSED'}",
+        render_gates(report),
     ]
     return "\n".join(lines)

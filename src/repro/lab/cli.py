@@ -79,18 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("scenarios", help="list available scenario plugins")
 
-    bench = sub.add_parser(
-        "bench",
-        help="kill-and-resume acceptance gate, recorded in BENCH_lab.json",
-    )
-    bench.add_argument(
-        "--output", default="BENCH_lab.json", help="gate record path"
-    )
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the raw gate record instead of the summary",
-    )
     return parser
 
 
@@ -114,22 +102,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             doc = (SCENARIOS[name].__doc__ or "").strip().splitlines()
             print(f"{name:12s} {doc[0] if doc else ''}")
         return 0
-
-    if args.command == "bench":
-        from repro.lab.bench import (
-            render_bench_lab,
-            run_bench_lab,
-            write_bench_lab,
-        )
-
-        report = run_bench_lab(seed=args.seed)
-        path = write_bench_lab(report, args.output)
-        if args.as_json:
-            print(json.dumps(report, indent=2))
-        else:
-            print(render_bench_lab(report))
-            print(f"recorded -> {path}")
-        return 0 if report["results"]["gate_met"] else 1
 
     experiment, store = _load(args)
 

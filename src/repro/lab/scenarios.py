@@ -82,7 +82,7 @@ def flatten_metrics(tree: Mapping[str, Any], prefix: str = "") -> Dict[str, Any]
 # ----------------------------------------------------------------------
 @scenario("engine")
 def _engine(params: Mapping[str, Any]) -> Dict[str, Any]:
-    """Compiled-kernel selection throughput (the bench-engine driver)."""
+    """Compiled-kernel selection throughput (the ``bench engine`` driver)."""
     from repro.engine.bench import run_bench
 
     report = run_bench(
@@ -102,7 +102,7 @@ def _engine(params: Mapping[str, Any]) -> Dict[str, Any]:
 
 @scenario("race")
 def _race(params: Mapping[str, Any]) -> Dict[str, Any]:
-    """Theorem-1 race round counts vs the exact law (bench-race driver)."""
+    """Theorem-1 race round counts vs the exact law (``bench race`` driver)."""
     from repro.engine.race_bench import run_bench_race
 
     k = int(params.get("k", 1024))
@@ -124,7 +124,7 @@ def _race(params: Mapping[str, Any]) -> Dict[str, Any]:
 
 @scenario("aco")
 def _aco(params: Mapping[str, Any]) -> Dict[str, Any]:
-    """End-to-end colony construction tours/s (bench-aco driver)."""
+    """End-to-end colony construction tours/s (``bench aco`` driver)."""
     from repro.engine.aco_bench import run_bench_aco
 
     report = run_bench_aco(
@@ -133,16 +133,8 @@ def _aco(params: Mapping[str, Any]) -> Dict[str, Any]:
         iterations=int(params.get("iterations", 1)),
         seed=int(params.get("seed", 0)),
     )
-    results = report["results"]
-    out: Dict[str, Any] = {}
-    for leg, stats in results.items():
-        if isinstance(stats, Mapping):
-            for key in ("tours_per_s", "elapsed_s", "speedup", "best_length"):
-                if key in stats:
-                    out[f"{leg}.{key}"] = stats[key]
-        elif isinstance(stats, (int, float, bool, str)):
-            out[leg] = stats
-    return out
+    # One dotted column group per lockstep method (run_cell flattens it).
+    return dict(report["results"]["per_method"])
 
 
 @scenario("serve")
@@ -151,7 +143,7 @@ def _serve(params: Mapping[str, Any]) -> Dict[str, Any]:
 
     Runs in-process (registry + micro-batch scheduler + closed-loop
     clients) so a lab matrix can sweep backends and batching knobs
-    without binding ports; the TCP/cluster legs stay in bench-serve.
+    without binding ports; the TCP/cluster legs stay in ``bench serve``.
     """
     import asyncio
 
@@ -256,12 +248,13 @@ def _accuracy(params: Mapping[str, Any]) -> Dict[str, Any]:
 
 @scenario("tune")
 def _tune(params: Mapping[str, Any]) -> Dict[str, Any]:
-    """One bench-tune point: calibrate, predict, and gate on this host.
+    """One ``bench tune`` point: calibrate, predict, and gate on this host.
 
     Exposes the tuner's headline numbers as tidy columns so a lab
     matrix can sweep seeds or workloads and chart prediction error and
     autotune quality alongside the other scenarios.
     """
+    from repro.bench.record import failed_gates
     from repro.tune.bench import run_bench_tune
 
     report = run_bench_tune(
@@ -285,11 +278,11 @@ def _tune(params: Mapping[str, Any]) -> Dict[str, Any]:
         "spawn_overhead_ms": cal["spawn_overhead_s"] * 1e3,
         "min_draws_per_worker": cal["min_draws_per_worker"] or 0,
         "race_law_error": report["predictor"]["worst_relative_error"],
-        "speedup_gate_skipped": bool(sg["skipped"]),
+        "speedup_gate_skipped": "worst_relative_error" not in sg,
         "speedup_gate_error": sg.get("worst_relative_error", 0.0),
         "autotune_ratio": at["ratio_vs_best_static"],
         "probe_budget_fraction": at["probe_budget_fraction"],
-        "gates_met": bool(report["gates_met"]),
+        "gates_failed": len(failed_gates(report)),
     }
 
 

@@ -18,7 +18,7 @@ whose pid is dead is stale and silently reclaimed (a killed run never
 wedges the matrix).
 
 The execution log exists for *auditing* exactly-once behaviour — the
-kill-and-resume gate (``lab bench``) and the property tests count
+kill-and-resume gate (``bench lab``) and the property tests count
 ``start``/``done`` events per key to prove a resume re-executes only
 cells that never finished.
 """

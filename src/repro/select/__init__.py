@@ -3,7 +3,7 @@
 Two workloads from PAPERS.md that exercise the engine where the paper's
 *precise probabilities* actually matter, both first-class
 :mod:`repro.lab` scenarios and both gated by ``python -m repro
-bench-select`` (→ ``BENCH_select.json``):
+bench select`` (→ ``BENCH_select.json``):
 
 * :mod:`repro.select.rs` — parallel ranking & selection (Ni, Henderson
   & Ciocan): best-arm identification over simulated systems whose

@@ -1,4 +1,4 @@
-"""``python -m repro bench-select``: gate the selection workloads.
+"""``python -m repro bench select``: gate the selection workloads.
 
 The record (``BENCH_select.json``) evaluates the subsystem's claims:
 
@@ -31,46 +31,59 @@ The record (``BENCH_select.json``) evaluates the subsystem's claims:
 
 Plus the acceptance-criterion **determinism certificate**: ``run_rs``
 selections and sample counts are byte-identical for 1 and ``N``
-workers.  The validator refuses records where the certificate fails.
+workers.  The certificate and the lottery gate are required: the
+record is refused unless both hold.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
-import platform
 import time
 from typing import Any, Dict
 
 import numpy as np
 
-from repro._version import __version__
+from repro.bench.record import (
+    FRACTION,
+    GATE,
+    NONEMPTY,
+    NUMBER,
+    gate,
+    make_record,
+    render_gates,
+    skip,
+)
 from repro.rng.streams import derive_seed
 from repro.select.lottery import CommitteeLottery
 from repro.select.rs import make_systems, run_rs
-from repro.tune.predictor import RuntimeDistribution
 from repro.tune.sample import RuntimeSample
 
-__all__ = [
-    "run_bench_select",
-    "validate_bench_select",
-    "write_bench_select",
-    "render_bench_select",
-    "BENCH_SELECT_SCHEMA",
+__all__ = ["run_bench_select", "render_bench_select", "REQUIRED", "SMOKE"]
+
+#: The parallel leg's gate, skipped on hosts with fewer than 4 cores.
+_PARALLEL_GATE = "parallel.relative_error"
+
+#: Paths every select record must carry (see :func:`repro.bench.record.validate`).
+REQUIRED = [
+    ("lottery.tolerance", NUMBER),
+    ("lottery.separation", NUMBER),
+    ("lottery.methods.*.empirical_max_abs", NUMBER),
+    ("rs.pcs", FRACTION),
+    ("parallel.workers", NUMBER),
+    *[
+        (f"parallel.{key}", NUMBER, _PARALLEL_GATE)
+        for key in ("measured_speedup", "predicted_speedup")
+    ],
+    ("prediction.worst_relative_error", NUMBER),
+    ("lottery.methods.log_bidding.empirical_max_abs", GATE),
+    ("lottery.methods.independent.empirical_max_abs", GATE),
+    ("determinism.ok", GATE),
+    ("determinism.workers_compared", NONEMPTY),
 ]
 
-#: Schema tag for BENCH_select.json (bump on layout changes).
-BENCH_SELECT_SCHEMA = "repro/bench-select/v1"
-
-#: Sections every record must carry (used by the CI smoke check).
-_REQUIRED_SECTIONS = (
-    "lottery",
-    "rs",
-    "parallel",
-    "prediction",
-    "determinism",
-)
+#: ``--smoke``: 40k lottery draws, 10 screening replications.
+SMOKE = {"lottery_draws": 40_000, "rs_replications": 10}
 
 #: Worst per-seat marginal error the precise backend must stay inside.
 #: At the default 200k-draw budget the sampling noise on a marginal is
@@ -134,12 +147,7 @@ def _lottery_section(
         "n_components": lottery.n_components,
         "methods": results,
         "tolerance": LOTTERY_TOLERANCE,
-        "precise_within": bool(precise <= LOTTERY_TOLERANCE),
-        "baseline_outside": bool(biased > LOTTERY_TOLERANCE),
         "separation": biased / precise if precise > 0 else math.inf,
-        "gate_met": bool(
-            precise <= LOTTERY_TOLERANCE and biased > LOTTERY_TOLERANCE
-        ),
     }
 
 
@@ -165,7 +173,6 @@ def _rs_section(
         workers=1,
         round_sample=round_sample,
     )
-    target = 1.0 - alpha
     return {
         "n_systems": n_systems,
         "delta": delta,
@@ -180,8 +187,7 @@ def _rs_section(
         "total_samples": report["total_samples"],
         "wall_s": report["wall_s"],
         "samples_per_s": report["samples_per_s"],
-        "target_pcs": target,
-        "gate_met": bool(report["pcs"] >= target),
+        "target_pcs": 1.0 - alpha,
     }
 
 
@@ -194,21 +200,8 @@ def _parallel_section(
     alpha: float,
     replications: int,
     n0: int,
-    cpu_count: int,
 ) -> Dict[str, Any]:
-    """Measured fan-out speedup vs the work-sharing model, or a skip."""
-    if cpu_count < _FANOUT_WORKERS:
-        return {
-            "workers": _FANOUT_WORKERS,
-            "skipped": True,
-            "skip_reason": (
-                f"cpu_count={cpu_count} < {_FANOUT_WORKERS}: replication "
-                f"workers would time-slice cores and the wall-clock speedup "
-                f"would not reflect the work-sharing model"
-            ),
-            "gate_tolerance": SPEEDUP_TOLERANCE,
-            "gate_met": True,
-        }
+    """Measured fan-out speedup vs the work-sharing model."""
     from repro.tune.predictor import sharded_speedup
 
     instance = make_systems(n_systems, delta)
@@ -231,16 +224,12 @@ def _parallel_section(
     error = abs(predicted - measured) / measured if measured else 0.0
     return {
         "workers": _FANOUT_WORKERS,
-        "skipped": False,
-        "skip_reason": None,
         "solo_wall_s": solo["wall_s"],
         "fanned_wall_s": fanned["wall_s"],
         "measured_speedup": measured,
         "predicted_speedup": predicted,
         "spawn_overhead_s": overhead,
         "relative_error": error,
-        "gate_tolerance": SPEEDUP_TOLERANCE,
-        "gate_met": bool(error <= SPEEDUP_TOLERANCE),
     }
 
 
@@ -288,8 +277,6 @@ def _prediction_section(
         "per_worker": per_worker,
         "speedup_curve": {str(w): curve[w] for w in grid},
         "worst_relative_error": worst,
-        "tolerance": PREDICTION_TOLERANCE,
-        "gate_met": bool(worst <= PREDICTION_TOLERANCE),
     }
 
 
@@ -350,15 +337,26 @@ def run_bench_select(
         n0=rs_n0,
         round_sample=round_sample,
     )
-    parallel = _parallel_section(
-        seed,
-        n_systems=rs_systems,
-        delta=rs_delta,
-        alpha=rs_alpha,
-        replications=rs_replications,
-        n0=rs_n0,
-        cpu_count=cpu_count,
-    )
+    if cpu_count < _FANOUT_WORKERS:
+        parallel = {"workers": _FANOUT_WORKERS}
+        parallel_gate = skip(
+            _PARALLEL_GATE, "<=", SPEEDUP_TOLERANCE,
+            f"cpu_count={cpu_count} < {_FANOUT_WORKERS}: replication "
+            f"workers would time-slice cores and the wall-clock speedup "
+            f"would not reflect the work-sharing model",
+        )
+    else:
+        parallel = _parallel_section(
+            seed,
+            n_systems=rs_systems,
+            delta=rs_delta,
+            alpha=rs_alpha,
+            replications=rs_replications,
+            n0=rs_n0,
+        )
+        parallel_gate = gate(
+            {"parallel": parallel}, _PARALLEL_GATE, "<=", SPEEDUP_TOLERANCE
+        )
     prediction = _prediction_section(seed, round_sample)
     determinism = _determinism_section(
         seed,
@@ -368,111 +366,42 @@ def run_bench_select(
         replications=min(rs_replications, 12),
         n0=rs_n0,
     )
-    return {
-        "schema": BENCH_SELECT_SCHEMA,
-        "config": {
-            "seed": seed,
-            "lottery_n": lottery_n,
-            "lottery_k": lottery_k,
-            "smoothing": smoothing,
-            "lottery_draws": lottery_draws,
-            "rs_systems": rs_systems,
-            "rs_delta": rs_delta,
-            "rs_alpha": rs_alpha,
-            "rs_replications": rs_replications,
-            "rs_n0": rs_n0,
-        },
+    sections = {
         "lottery": lottery,
         "rs": rs,
         "parallel": parallel,
         "prediction": prediction,
         "determinism": determinism,
-        "gates_met": bool(
-            lottery["gate_met"]
-            and rs["gate_met"]
-            and parallel["gate_met"]
-            and prediction["gate_met"]
-            and determinism["ok"]
-        ),
-        "meta": {
-            "repro": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-            "cpu_count": cpu_count,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        },
     }
-
-
-# ----------------------------------------------------------------------
-def validate_bench_select(report: Dict[str, Any]) -> None:
-    """Raise ``ValueError`` unless ``report`` is a well-formed record.
-
-    Beyond shape, the validator *requires* the determinism certificate
-    to hold — a record whose 1-worker and N-worker replays disagree is
-    rejected outright, never published with a failing flag.
-    """
-    if not isinstance(report, dict):
-        raise ValueError("bench report must be a JSON object")
-    if report.get("schema") != BENCH_SELECT_SCHEMA:
-        raise ValueError(
-            f"schema mismatch: {report.get('schema')!r} != "
-            f"{BENCH_SELECT_SCHEMA!r}"
-        )
-    for section in _REQUIRED_SECTIONS + ("config", "meta"):
-        if not isinstance(report.get(section), dict):
-            raise ValueError(f"missing section {section!r}")
-    lot = report["lottery"]
-    for key in ("precise_within", "baseline_outside", "gate_met"):
-        if not isinstance(lot.get(key), bool):
-            raise ValueError(f"lottery must record boolean {key!r}")
-    for key in ("tolerance", "separation"):
-        value = lot.get(key)
-        if not isinstance(value, (int, float)) or value < 0:
-            raise ValueError(
-                f"lottery.{key} must be a non-negative number, got {value!r}"
-            )
-    rs = report["rs"]
-    pcs = rs.get("pcs")
-    if not isinstance(pcs, (int, float)) or not 0.0 <= pcs <= 1.0:
-        raise ValueError(f"rs.pcs must lie in [0, 1], got {pcs!r}")
-    if not isinstance(rs.get("gate_met"), bool):
-        raise ValueError("rs must record boolean gate_met")
-    par = report["parallel"]
-    if par.get("skipped"):
-        if not par.get("skip_reason"):
-            raise ValueError("skipped parallel leg must record a skip_reason")
-    else:
-        for key in ("measured_speedup", "predicted_speedup", "relative_error"):
-            value = par.get(key)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValueError(
-                    f"unskipped parallel leg must record finite {key!r}"
-                )
-    if not isinstance(par.get("gate_met"), bool):
-        raise ValueError("parallel must record boolean gate_met")
-    pred = report["prediction"]
-    if not isinstance(pred.get("gate_met"), bool):
-        raise ValueError("prediction must record boolean gate_met")
-    det = report["determinism"]
-    if det.get("ok") is not True:
-        raise ValueError(
-            "determinism certificate failed: 1-worker and N-worker replays "
-            "must be byte-identical"
-        )
-    if "gates_met" not in report or not isinstance(report["gates_met"], bool):
-        raise ValueError("report must record boolean gates_met")
-
-
-def write_bench_select(
-    report: Dict[str, Any], path: str = "BENCH_select.json"
-) -> str:
-    """Validate and write a select bench report; returns the path."""
-    validate_bench_select(report)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    return path
+    gates = [
+        gate(
+            sections, "lottery.methods.log_bidding.empirical_max_abs",
+            "<=", LOTTERY_TOLERANCE, required=True,
+        ),
+        gate(
+            sections, "lottery.methods.independent.empirical_max_abs",
+            ">", LOTTERY_TOLERANCE, required=True,
+        ),
+        gate(sections, "rs.pcs", ">=", rs["target_pcs"]),
+        parallel_gate,
+        gate(
+            sections, "prediction.worst_relative_error", "<=", PREDICTION_TOLERANCE
+        ),
+        gate(sections, "determinism.ok", "==", True, required=True),
+    ]
+    config = {
+        "seed": seed,
+        "lottery_n": lottery_n,
+        "lottery_k": lottery_k,
+        "smoothing": smoothing,
+        "lottery_draws": lottery_draws,
+        "rs_systems": rs_systems,
+        "rs_delta": rs_delta,
+        "rs_alpha": rs_alpha,
+        "rs_replications": rs_replications,
+        "rs_n0": rs_n0,
+    }
+    return make_record("select", config, sections, gates)
 
 
 def render_bench_select(report: Dict[str, Any]) -> str:
@@ -492,34 +421,26 @@ def render_bench_select(report: Dict[str, Any]) -> str:
         f"{lot['n_components']} committees):",
         f"  log_bidding max marginal error {precise:.2e} "
         f"(tol {lot['tolerance']:g}), independent {biased:.3f} "
-        f"-> {lot['separation']:.0f}x separation "
-        f"({'OK' if lot['gate_met'] else 'FAIL'})",
+        f"-> {lot['separation']:.0f}x separation",
         f"rs (K={rs['n_systems']}, delta={rs['delta']:g}, "
         f"alpha={rs['alpha']:g}): PCS {rs['pcs']:.3f} over "
         f"{rs['replications']} replications "
         f"(target {rs['target_pcs']:.2f}), "
         f"{rs['mean_samples']:.0f} samples/rep in "
-        f"{rs['mean_rounds']:.1f} rounds "
-        f"({'OK' if rs['gate_met'] else 'FAIL'})",
+        f"{rs['mean_rounds']:.1f} rounds",
     ]
-    if par["skipped"]:
-        lines.append(f"parallel leg: SKIPPED ({par['skip_reason']})")
-    else:
+    if "measured_speedup" in par:
         lines.append(
             f"parallel leg: measured {par['measured_speedup']:.2f}x vs "
-            f"predicted {par['predicted_speedup']:.2f}x at "
-            f"W={par['workers']} "
-            f"({'OK' if par['gate_met'] else 'FAIL'})"
+            f"predicted {par['predicted_speedup']:.2f}x at W={par['workers']}"
         )
     lines += [
         f"prediction: worst expected-min error "
         f"{pred['worst_relative_error'] * 100:.2f}% over "
-        f"{pred['round_times_recorded']} round times "
-        f"({'OK' if pred['gate_met'] else 'FAIL'})",
+        f"{pred['round_times_recorded']} round times",
         f"determinism: selections={det['selections_identical']}, "
         f"samples={det['sample_counts_identical']} over "
-        f"W={det['workers_compared']} "
-        f"({'OK' if det['ok'] else 'FAIL'})",
-        f"gates_met: {report['gates_met']}",
+        f"W={det['workers_compared']}",
+        render_gates(report),
     ]
     return "\n".join(lines)

@@ -305,7 +305,7 @@ def run_rs(
     the fan-out only changes *where* it runs.  Results are reduced in
     replication order, so the report (selections, PCS, sample counts)
     is byte-identical for every ``workers`` value — the determinism
-    certificate ``python -m repro bench-select`` records.
+    certificate ``python -m repro bench select`` records.
 
     ``workers=None`` consults the calibrated
     :func:`repro.engine.parallel.suggest_workers` with the estimated

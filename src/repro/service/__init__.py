@@ -15,7 +15,7 @@ interface (``python -m repro serve``).
 executor, wheels routed by consistent hash (:class:`HashRing`), compiled
 artifacts deduped through the shared-memory
 :class:`~repro.service.shm.SharedWheelStore` — with byte-identical
-responses at any pool size.  ``python -m repro bench-serve`` records the
+responses at any pool size.  ``python -m repro bench serve`` records the
 batched-vs-naive throughput gate, the frames-vs-JSON protocol gate, the
 cluster scaling sweep, and the coalescing + per-shard determinism
 certificates.
@@ -23,16 +23,7 @@ certificates.
 
 from repro.service.cluster import DEFAULT_VNODES, ClusterService, HashRing
 from repro.service.frames import FRAMES_VERSION, hello_frame, read_frame
-from repro.service.loadgen import (
-    BENCH_SERVE_SCHEMA,
-    render_bench_serve,
-    run_bench_serve,
-    run_closed_loop,
-    run_open_loop,
-    run_tcp_load,
-    validate_bench_serve,
-    write_bench_serve,
-)
+from repro.service.loadgen import run_closed_loop, run_open_loop, run_tcp_load
 from repro.service.metrics import BatchSizeHistogram, LatencyHistogram, ServiceMetrics
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -58,7 +49,6 @@ from repro.service.server import (
 from repro.service.shm import SharedWheelStore
 
 __all__ = [
-    "BENCH_SERVE_SCHEMA",
     "BatchConfig",
     "BatchSizeHistogram",
     "ClusterService",
@@ -82,15 +72,11 @@ __all__ = [
     "ok_response",
     "raise_structured",
     "read_frame",
-    "render_bench_serve",
-    "run_bench_serve",
     "run_closed_loop",
     "run_open_loop",
     "run_tcp_load",
     "serve_stdio",
     "serve_tcp",
     "start_tcp_server",
-    "validate_bench_serve",
     "wheel_digest",
-    "write_bench_serve",
 ]

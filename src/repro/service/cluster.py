@@ -21,7 +21,7 @@ The three structural pieces:
   ``request_stream(service_seed, wheel_key, request_seed)`` of data that
   never depends on which worker executes or how requests coalesce — so
   a 1-worker and an 8-worker cluster return *byte-identical* responses
-  for the same ``(wheel_id, request seed)``.  ``bench-serve`` records
+  for the same ``(wheel_id, request seed)``.  ``bench serve`` records
   this as the per-shard determinism certificate.
 
 Graceful drain: :meth:`ClusterService.drain` flips the service into

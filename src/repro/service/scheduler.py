@@ -53,7 +53,7 @@ __all__ = ["BatchConfig", "MicroBatchScheduler", "NaiveScheduler"]
 
 @dataclass
 class BatchConfig:
-    """Scheduler knobs (defaults tuned for the bench-serve workload)."""
+    """Scheduler knobs (defaults tuned for the ``bench serve`` workload)."""
 
     #: Requests per wheel that force an immediate flush.
     max_batch: int = 64
@@ -438,7 +438,7 @@ class NaiveScheduler:
     per request.  Substream derivation is shared with
     :class:`MicroBatchScheduler`, so for ``policy="faithful"`` wheels
     the two schedulers return bit-identical draws; only the throughput
-    differs.  ``bench-serve`` measures this head-to-head.
+    differs.  ``bench serve`` measures this head-to-head.
     """
 
     def __init__(

@@ -54,7 +54,7 @@ class SelectionService:
     seed:
         Service master seed (fixes every auto-assigned substream).
     config:
-        Scheduler knobs; defaults are the bench-serve tuning.
+        Scheduler knobs; defaults are the ``bench serve`` tuning.
     max_wheels / policy:
         Registry capacity and default kernel policy.
     """

@@ -17,7 +17,7 @@
   telemetry (off by default; never touches per-request substreams);
 * :mod:`repro.tune.restarts` — restart schedules (fixed cutoff, Luby)
   derived from captured restart-time distributions;
-* :mod:`repro.tune.bench` — ``python -m repro bench-tune``, the gate
+* :mod:`repro.tune.bench` — ``python -m repro bench tune``, the gate
   that scores predictions against measurement.
 """
 

@@ -1,4 +1,4 @@
-"""``python -m repro bench-tune``: score the tuner against measurement.
+"""``python -m repro bench tune``: score the tuner against measurement.
 
 The record (``BENCH_tune.json``) evaluates the two tentpole gates:
 
@@ -30,17 +30,14 @@ serving and direct substream replay.
 from __future__ import annotations
 
 import asyncio
-import json
-import math
 import os
-import platform
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
-from repro._version import __version__
+from repro.bench.record import GATE, NONEMPTY, NUMBER, gate, make_record, render_gates, skip
 from repro.tune.calibration import (
     resolve_min_draws_per_worker,
     save_calibration,
@@ -51,25 +48,31 @@ from repro.tune.probes import calibrate
 from repro.tune.sample import RuntimeSample
 from repro.tune.timers import timed
 
-__all__ = [
-    "run_bench_tune",
-    "validate_bench_tune",
-    "write_bench_tune",
-    "render_bench_tune",
-    "BENCH_TUNE_SCHEMA",
+__all__ = ["run_bench_tune", "render_bench_tune", "REQUIRED", "SMOKE"]
+
+#: The worker-sweep gate, skipped on hosts with fewer than 4 cores.
+_SPEEDUP_GATE = "speedup_gate.worst_relative_error"
+
+#: Paths every tune record must carry (see :func:`repro.bench.record.validate`).
+REQUIRED = [
+    ("calibration.draw_ns", NUMBER),
+    ("predictor.ok", GATE),
+    ("speedup_gate.workers.*", NUMBER),
+    ("speedup_gate.per_worker", NONEMPTY, _SPEEDUP_GATE),
+    ("autotune_gate.probe_budget_fraction", NUMBER),
+    ("autotune_gate.ratio_vs_best_static", NUMBER),
+    ("determinism.ok", GATE),
 ]
 
-#: Schema tag for BENCH_tune.json (bump on layout changes).
-BENCH_TUNE_SCHEMA = "repro/bench-tune/v1"
-
-#: Sections every record must carry (used by the CI smoke check).
-_REQUIRED_SECTIONS = (
-    "calibration",
-    "predictor",
-    "speedup_gate",
-    "autotune_gate",
-    "determinism",
-)
+#: ``--smoke``: a miniature calibration, sweep and traffic probe.
+SMOKE = {
+    "trials": 6,
+    "race_trials": 3,
+    "wheel_n": 256,
+    "clients": 8,
+    "requests_per_client": 16,
+    "race_trials_probe": 5000,
+}
 
 #: Worker sweep of the prediction gate.
 _SWEEP_WORKERS = (1, 2, 4)
@@ -121,22 +124,9 @@ def _speedup_section(
     method: str,
     rare_weight: float,
     chunk: int,
-    cpu_count: int,
 ) -> Dict[str, Any]:
     """Predicted vs measured E[min of W] across the worker sweep."""
     max_w = max(workers)
-    if cpu_count < max_w:
-        return {
-            "workers": list(workers),
-            "skipped": True,
-            "skip_reason": (
-                f"cpu_count={cpu_count} < {max_w}: racers would time-slice "
-                f"cores and the min-of-W measurement would not reflect the "
-                f"iid-parallel model"
-            ),
-            "gate_tolerance": PREDICTION_TOLERANCE,
-            "gate_met": True,
-        }
     base = (n, method, rare_weight, chunk)
     with ProcessPoolExecutor(max_workers=max_w) as pool:
         # Warm every worker (interpreter + numpy import) before timing.
@@ -176,15 +166,11 @@ def _speedup_section(
             }
     return {
         "workers": list(workers),
-        "skipped": False,
-        "skip_reason": None,
         "sequential_trials": trials,
         "race_trials": race_trials,
         "sequential_mean_s": seq.mean,
         "per_worker": per_worker,
         "worst_relative_error": worst_error,
-        "gate_tolerance": PREDICTION_TOLERANCE,
-        "gate_met": bool(worst_error <= PREDICTION_TOLERANCE),
     }
 
 
@@ -313,14 +299,6 @@ def _autotune_section(
         "probe_budget_s": probe_budget_s,
         "probe_budget_fraction": budget_fraction,
         "ratio_vs_best_static": ratio,
-        "gate_tolerance": AUTOTUNE_TOLERANCE,
-        "budget_fraction_limit": PROBE_BUDGET_FRACTION,
-        "within_tolerance": bool(ratio <= 1.0 + AUTOTUNE_TOLERANCE),
-        "within_budget": bool(budget_fraction <= PROBE_BUDGET_FRACTION),
-        "gate_met": bool(
-            ratio <= 1.0 + AUTOTUNE_TOLERANCE
-            and budget_fraction <= PROBE_BUDGET_FRACTION
-        ),
     }
 
 
@@ -439,17 +417,29 @@ def run_bench_tune(
     }
 
     predictor = _predictor_section(cal)
-    speedup_gate = _speedup_section(
-        seed,
-        workers=workers,
-        trials=trials,
-        race_trials=race_trials,
-        n=wheel_n,
-        method=method,
-        rare_weight=rare_weight,
-        chunk=chunk,
-        cpu_count=cpu_count,
-    )
+    max_w = max(workers)
+    if cpu_count < max_w:
+        speedup_gate = {"workers": list(workers)}
+        speedup_verdict = skip(
+            _SPEEDUP_GATE, "<=", PREDICTION_TOLERANCE,
+            f"cpu_count={cpu_count} < {max_w}: racers would time-slice "
+            f"cores and the min-of-W measurement would not reflect the "
+            f"iid-parallel model",
+        )
+    else:
+        speedup_gate = _speedup_section(
+            seed,
+            workers=workers,
+            trials=trials,
+            race_trials=race_trials,
+            n=wheel_n,
+            method=method,
+            rare_weight=rare_weight,
+            chunk=chunk,
+        )
+        speedup_verdict = gate(
+            {"speedup_gate": speedup_gate}, _SPEEDUP_GATE, "<=", PREDICTION_TOLERANCE
+        )
     autotune_gate = _autotune_section(
         cal,
         # Only the batch-kernel probe feeds BatchConfig.autotune; the
@@ -464,86 +454,38 @@ def run_bench_tune(
     )
     determinism = _determinism_section(seed=seed, wheel_n=wheel_n, method=method)
 
-    return {
-        "schema": BENCH_TUNE_SCHEMA,
-        "config": {
-            "seed": seed,
-            "workers": list(workers),
-            "trials": trials,
-            "race_trials": race_trials,
-            "wheel_n": wheel_n,
-            "method": method,
-            "clients": clients,
-            "requests_per_client": requests_per_client,
-            "n_draws": n_draws,
-        },
+    sections = {
         "calibration": calibration_section,
         "predictor": predictor,
         "speedup_gate": speedup_gate,
         "autotune_gate": autotune_gate,
         "determinism": determinism,
-        "gates_met": bool(
-            predictor["ok"]
-            and speedup_gate["gate_met"]
-            and autotune_gate["gate_met"]
-            and determinism["ok"]
-        ),
-        "meta": {
-            "repro": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-            "cpu_count": cpu_count,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        },
     }
-
-
-# ----------------------------------------------------------------------
-def validate_bench_tune(report: Dict[str, Any]) -> None:
-    """Raise ``ValueError`` unless ``report`` is a well-formed tune record."""
-    if not isinstance(report, dict):
-        raise ValueError("bench report must be a JSON object")
-    if report.get("schema") != BENCH_TUNE_SCHEMA:
-        raise ValueError(
-            f"schema mismatch: {report.get('schema')!r} != {BENCH_TUNE_SCHEMA!r}"
-        )
-    for section in _REQUIRED_SECTIONS + ("config", "meta"):
-        if not isinstance(report.get(section), dict):
-            raise ValueError(f"missing section {section!r}")
-    sg = report["speedup_gate"]
-    if sg.get("skipped"):
-        if not sg.get("skip_reason"):
-            raise ValueError("skipped speedup gate must record a skip_reason")
-    else:
-        if "worst_relative_error" not in sg or "per_worker" not in sg:
-            raise ValueError("unskipped speedup gate must record its sweep")
-    for section, key in (
-        ("predictor", "ok"),
-        ("speedup_gate", "gate_met"),
-        ("autotune_gate", "gate_met"),
-        ("determinism", "ok"),
-    ):
-        if not isinstance(report[section].get(key), bool):
-            raise ValueError(f"section {section!r} must record boolean {key!r}")
-    at = report["autotune_gate"]
-    for key in ("probe_budget_fraction", "ratio_vs_best_static"):
-        value = at.get(key)
-        if not isinstance(value, (int, float)) or value < 0 or not math.isfinite(value):
-            raise ValueError(
-                f"autotune_gate.{key} must be a finite non-negative number, "
-                f"got {value!r}"
-            )
-    if "gates_met" not in report or not isinstance(report["gates_met"], bool):
-        raise ValueError("report must record boolean gates_met")
-
-
-def write_bench_tune(report: Dict[str, Any], path: str = "BENCH_tune.json") -> str:
-    """Validate and write a tune bench report; returns the path."""
-    validate_bench_tune(report)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    return path
+    gates = [
+        gate(sections, "predictor.ok", "==", True, required=True),
+        speedup_verdict,
+        gate(
+            sections, "autotune_gate.ratio_vs_best_static", "<=",
+            1.0 + AUTOTUNE_TOLERANCE,
+        ),
+        gate(
+            sections, "autotune_gate.probe_budget_fraction", "<=",
+            PROBE_BUDGET_FRACTION,
+        ),
+        gate(sections, "determinism.ok", "==", True, required=True),
+    ]
+    config = {
+        "seed": seed,
+        "workers": list(workers),
+        "trials": trials,
+        "race_trials": race_trials,
+        "wheel_n": wheel_n,
+        "method": method,
+        "clients": clients,
+        "requests_per_client": requests_per_client,
+        "n_draws": n_draws,
+    }
+    return make_record("tune", config, sections, gates)
 
 
 def render_bench_tune(report: Dict[str, Any]) -> str:
@@ -563,26 +505,20 @@ def render_bench_tune(report: Dict[str, Any]) -> str:
         f"min_draws_per_worker: calibrated={cal['min_draws_per_worker']}, "
         f"resolved={cal['resolved_min_draws_per_worker']}",
         f"race-law check (k={pred['k']}): worst error "
-        f"{pred['worst_relative_error'] * 100:.2f}% "
-        f"({'OK' if pred['ok'] else 'FAIL'})",
+        f"{pred['worst_relative_error'] * 100:.2f}%",
     ]
-    if sg["skipped"]:
-        lines.append(f"speedup gate: SKIPPED ({sg['skip_reason']})")
-    else:
+    if "worst_relative_error" in sg:
         lines.append(
             f"speedup gate: worst error {sg['worst_relative_error'] * 100:.1f}% "
-            f"over W={sg['workers']} "
-            f"({'OK' if sg['gate_met'] else 'FAIL'})"
+            f"over W={sg['workers']}"
         )
     lines += [
         f"autotune gate: {at['autotuned']['elapsed_s'] * 1e3:.1f} ms vs best "
         f"static {at['best_static']['elapsed_s'] * 1e3:.1f} ms "
         f"({at['ratio_vs_best_static']:.2f}x) at "
-        f"{at['probe_budget_fraction'] * 100:.1f}% of sweep budget "
-        f"({'OK' if at['gate_met'] else 'FAIL'})",
+        f"{at['probe_budget_fraction'] * 100:.1f}% of sweep budget",
         f"determinism: engine={det['parallel_counts_identical']}, "
-        f"serving={det['serving_identical_with_controller']} "
-        f"({'OK' if det['ok'] else 'FAIL'})",
-        f"gates_met: {report['gates_met']}",
+        f"serving={det['serving_identical_with_controller']}",
+        render_gates(report),
     ]
     return "\n".join(lines)

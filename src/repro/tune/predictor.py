@@ -12,7 +12,7 @@ speedup curve is an order statistic of that one distribution:
 No parallel measurement is needed to *predict*: capture the sequential
 distribution once (cheap), integrate the min.  The prediction is exact
 for the model's assumptions (iid copies, negligible orchestration cost)
-and the bench gate (``python -m repro bench-tune``) quantifies how far
+and the bench gate (``python -m repro bench tune``) quantifies how far
 a real multi-process race deviates.
 
 :class:`RuntimeDistribution` is the common representation — an

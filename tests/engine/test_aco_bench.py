@@ -5,35 +5,23 @@ import json
 
 import pytest
 
-from repro.engine.aco_bench import (
-    BENCH_ACO_SCHEMA,
-    render_bench_aco,
-    run_bench_aco,
-    validate_bench_aco,
-    write_bench_aco,
-)
+from repro.bench.record import SCHEMA, validate, write
+from repro.engine.aco_bench import render_bench_aco
 
 
 @pytest.fixture(scope="module")
-def tiny_report():
+def tiny_report(aco_record):
     """One small-but-real bench run shared by every test in the module."""
-    return run_bench_aco(
-        n=40,
-        n_ants=6,
-        iterations=2,
-        seed=0,
-        scalar_ants=3,
-        equivalence_n=16,
-        equivalence_ants=3,
-    )
+    return aco_record
 
 
 class TestRunBenchAco:
     def test_validates(self, tiny_report):
-        validate_bench_aco(tiny_report)  # must not raise
+        validate(tiny_report)  # must not raise
 
     def test_schema_and_config(self, tiny_report):
-        assert tiny_report["schema"] == BENCH_ACO_SCHEMA
+        assert tiny_report["schema"] == SCHEMA
+        assert tiny_report["bench"] == "aco"
         assert tiny_report["config"]["n"] == 40
         assert tiny_report["config"]["n_ants"] == 6
 
@@ -60,15 +48,15 @@ class TestRunBenchAco:
 
     def test_render_mentions_gate(self, tiny_report):
         text = render_bench_aco(tiny_report)
-        assert "gate" in text
+        assert "results.per_method.log_bidding.speedup" in text
         assert "log_bidding" in text
 
     def test_write_round_trip(self, tiny_report, tmp_path):
-        path = write_bench_aco(tiny_report, tmp_path / "BENCH_aco.json")
+        path = write(tiny_report, tmp_path / "BENCH_aco.json")
         on_disk = json.loads((tmp_path / "BENCH_aco.json").read_text())
         assert str(path) == str(tmp_path / "BENCH_aco.json")
-        validate_bench_aco(on_disk)
-        assert on_disk["results"]["gate_method"] == "log_bidding"
+        validate(on_disk)
+        assert on_disk["config"]["gate_method"] == "log_bidding"
 
 
 class TestValidateBenchAco:
@@ -76,33 +64,33 @@ class TestValidateBenchAco:
         bad = copy.deepcopy(tiny_report)
         bad["schema"] = "something/else"
         with pytest.raises(ValueError):
-            validate_bench_aco(bad)
+            validate(bad)
 
     def test_rejects_missing_result_key(self, tiny_report):
         bad = copy.deepcopy(tiny_report)
         del bad["results"]["per_method"]
         with pytest.raises(ValueError):
-            validate_bench_aco(bad)
+            validate(bad)
 
     def test_rejects_missing_method_key(self, tiny_report):
         bad = copy.deepcopy(tiny_report)
         for entry in bad["results"]["per_method"].values():
             del entry["speedup"]
         with pytest.raises(ValueError):
-            validate_bench_aco(bad)
+            validate(bad)
 
     def test_rejects_broken_equivalence(self, tiny_report):
         bad = copy.deepcopy(tiny_report)
         bad["results"]["equivalence"]["all_identical"] = False
         with pytest.raises(ValueError):
-            validate_bench_aco(bad)
+            validate(bad)
 
     def test_rejects_empty_sparsity(self, tiny_report):
         bad = copy.deepcopy(tiny_report)
         bad["results"]["sparsity"]["mean_k"] = []
         with pytest.raises(ValueError):
-            validate_bench_aco(bad)
+            validate(bad)
 
     def test_rejects_non_dict(self):
         with pytest.raises(ValueError):
-            validate_bench_aco([])
+            validate([])

@@ -1,27 +1,23 @@
-"""BENCH_engine.json schema: produced, validated, rendered, persisted."""
+"""BENCH_engine.json: produced, validated, rendered, persisted."""
 
 import json
 
 import pytest
 
+from repro.bench.record import SCHEMA, validate, write
 from repro.cli import main as cli_main
-from repro.engine.bench import (
-    BENCH_SCHEMA,
-    render_bench,
-    run_bench,
-    validate_bench,
-    write_bench,
-)
+from repro.engine.bench import render_bench
 
 
 @pytest.fixture(scope="module")
-def report():
-    return run_bench(n=50, draws=20_000, seed=0)
+def report(engine_record):
+    return engine_record
 
 
 def test_run_bench_is_well_formed(report):
-    validate_bench(report)  # must not raise
-    assert report["schema"] == BENCH_SCHEMA
+    validate(report)  # must not raise
+    assert report["schema"] == SCHEMA
+    assert report["bench"] == "engine"
     assert report["config"]["n"] == 50
     assert report["config"]["draws"] == 20_000
     assert report["config"]["kernel_auto"] == "alias"
@@ -32,10 +28,10 @@ def test_run_bench_is_well_formed(report):
 
 
 def test_write_bench_round_trips(tmp_path, report):
-    path = write_bench(report, str(tmp_path / "BENCH_engine.json"))
+    path = write(report, str(tmp_path / "BENCH_engine.json"))
     with open(path, encoding="utf-8") as fh:
         loaded = json.load(fh)
-    validate_bench(loaded)
+    validate(loaded)
     assert loaded["results"].keys() == report["results"].keys()
 
 
@@ -43,6 +39,7 @@ def test_render_bench_summary(report):
     text = render_bench(report)
     assert "engine bench" in text
     assert "speedup compiled/registry" in text
+    assert "results.speedup_compiled_vs_registry" in text
 
 
 @pytest.mark.parametrize(
@@ -60,34 +57,27 @@ def test_validate_bench_rejects_malformed(report, mutate):
     bad = json.loads(json.dumps(report))
     mutate(bad)
     with pytest.raises(ValueError):
-        validate_bench(bad)
+        validate(bad)
 
 
 def test_validate_bench_rejects_non_dict():
     with pytest.raises(ValueError):
-        validate_bench(["not", "a", "report"])
+        validate(["not", "a", "report"])
 
 
 def test_cli_bench_engine_writes_report(tmp_path, capsys):
     out = tmp_path / "bench.json"
-    code = cli_main(
-        [
-            "bench-engine",
-            "--iterations",
-            "5000",
-            "--wheel-size",
-            "32",
-            "--output",
-            str(out),
-        ]
-    )
-    assert code == 0
+    assert cli_main(["bench", "engine", "--smoke", "--output", str(out)]) == 0
     captured = capsys.readouterr().out
     assert "engine bench" in captured
     with open(out, encoding="utf-8") as fh:
-        validate_bench(json.load(fh))
+        loaded = json.load(fh)
+    validate(loaded)
+    assert loaded["config"]["n"] == 200  # the --smoke configuration
 
 
 def test_cli_list_includes_bench_engine(capsys):
     assert cli_main(["--list"]) == 0
-    assert "bench-engine" in capsys.readouterr().out
+    listed = capsys.readouterr().out.split()
+    assert "bench" in listed
+    assert not [name for name in listed if name.startswith("bench-")]

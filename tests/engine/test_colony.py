@@ -193,6 +193,15 @@ class TestTspLockstepOrders:
             for row in orders:
                 assert sorted(row.tolist()) == list(range(n))
 
+    def test_float32_underflow_still_valid(self):
+        """Weights positive in float64 but zero in float32 (a late colony)."""
+        n, m = 16, 5
+        D = np.full((n, n), 1e-50)
+        np.fill_diagonal(D, 0.0)
+        orders = tsp_lockstep_orders(D, m, np.random.default_rng(0))
+        for row in orders:
+            assert sorted(row.tolist()) == list(range(n))
+
     def test_rejects_bad_inputs(self):
         D = np.ones((4, 4))
         with pytest.raises(UnknownMethodError):

@@ -1,28 +1,22 @@
-"""BENCH_race.json schema: produced, validated, rendered, persisted."""
+"""BENCH_race.json: produced, validated, rendered, persisted."""
 
 import json
 
 import pytest
 
+from repro.bench.record import SCHEMA, validate, write
 from repro.cli import main as cli_main
-from repro.engine.race_bench import (
-    BENCH_RACE_SCHEMA,
-    render_bench_race,
-    run_bench_race,
-    validate_bench_race,
-    write_bench_race,
-)
+from repro.engine.race_bench import render_bench_race, run_bench_race
 
 
 @pytest.fixture(scope="module")
-def report():
-    # Small configuration: the schema and gates, not the paper-scale run.
-    return run_bench_race(ks=(16, 256), trials=5_000, seed=0, pram_k=256, pram_reps=3)
+def report(race_record):
+    return race_record
 
 
 def test_run_bench_race_is_well_formed(report):
-    validate_bench_race(report)  # must not raise
-    assert report["schema"] == BENCH_RACE_SCHEMA
+    validate(report)  # must not raise
+    assert report["schema"] == SCHEMA
     assert report["config"]["ks"] == [16, 256]
     r = report["results"]
     assert len(r["per_k"]) == 2
@@ -40,13 +34,17 @@ def test_per_k_entries_track_exact_law(report):
 def test_speedup_gate_holds_even_tiny(report):
     """The >= 50x acceptance gate clears by orders of magnitude."""
     assert report["results"]["speedup_vs_pram"] >= 50.0
+    speedup = next(
+        g for g in report["gates"] if g["name"] == "results.speedup_vs_pram"
+    )
+    assert speedup["met"] is True and not speedup["required"]
 
 
 def test_write_bench_race_round_trips(tmp_path, report):
-    path = write_bench_race(report, str(tmp_path / "BENCH_race.json"))
+    path = write(report, str(tmp_path / "BENCH_race.json"))
     with open(path, encoding="utf-8") as fh:
         loaded = json.load(fh)
-    validate_bench_race(loaded)
+    validate(loaded)
     assert loaded["results"].keys() == report["results"].keys()
 
 
@@ -75,7 +73,7 @@ def test_validate_bench_race_rejects_malformed(report, mutate):
     bad = json.loads(json.dumps(report))
     mutate(bad)
     with pytest.raises(ValueError):
-        validate_bench_race(bad)
+        validate(bad)
 
 
 def test_run_bench_race_validation():
@@ -89,27 +87,16 @@ def test_run_bench_race_validation():
 
 def test_cli_bench_race_writes_report(tmp_path, capsys):
     out = tmp_path / "bench_race.json"
-    code = cli_main(
-        [
-            "bench-race",
-            "--iterations",
-            "2000",
-            "--race-k",
-            "16",
-            "64",
-            "--output",
-            str(out),
-        ]
-    )
-    assert code == 0
+    assert cli_main(["bench", "race", "--smoke", "--output", str(out)]) == 0
     captured = capsys.readouterr().out
     assert "race bench" in captured
     with open(out, encoding="utf-8") as fh:
         loaded = json.load(fh)
-    validate_bench_race(loaded)
-    assert loaded["config"]["pram_k"] == 16  # anchored to the custom grid
+    validate(loaded)
+    assert loaded["config"]["ks"] == [64, 256]
+    assert loaded["config"]["pram_k"] == 64  # anchored to the smoke grid
 
 
 def test_cli_list_includes_bench_race(capsys):
     assert cli_main(["--list"]) == 0
-    assert "bench-race" in capsys.readouterr().out
+    assert "bench" in capsys.readouterr().out.split()

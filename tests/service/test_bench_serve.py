@@ -4,41 +4,23 @@ import json
 
 import pytest
 
-from repro.service.loadgen import (
-    BENCH_SERVE_SCHEMA,
-    render_bench_serve,
-    run_bench_serve,
-    validate_bench_serve,
-    write_bench_serve,
-)
+from repro.bench.record import SCHEMA, validate, write
+from repro.service.bench import render_bench_serve, run_bench_serve
 
 
 @pytest.fixture(scope="module")
-def tiny_report():
-    # Smallest run that still coalesces and exercises every section:
-    # 8 clients, a couple of rounds, a 2-worker cluster sweep, small
-    # protocol payloads.
-    return run_bench_serve(
-        wheel_size=64,
-        clients=8,
-        requests_per_client=2,
-        n_draws=4,
-        cluster_workers=[1, 2],
-        protocol_draws=32,
-        protocol_requests_per_client=2,
-        update_every=2,
-        update_k=2,
-        update_n=20_000,
-        colony_n=10_000,
-        colony_ants=64,
-        colony_iterations=8,
-    )
+def tiny_report(serve_record):
+    return serve_record
+
+
+def _gate(report, name):
+    return next(g for g in report["gates"] if g["name"] == name)
 
 
 class TestBenchServe:
     def test_schema_and_sections(self, tiny_report):
-        assert tiny_report["schema"] == BENCH_SERVE_SCHEMA
-        validate_bench_serve(tiny_report)
+        assert tiny_report["schema"] == SCHEMA
+        validate(tiny_report)
         legs = tiny_report["results"]["legs"]
         assert set(legs) == {"naive", "cached_naive", "batched"}
         for leg in legs.values():
@@ -72,8 +54,9 @@ class TestBenchServe:
             assert leg["requests_per_s"] > 0
             assert leg["latency"]["count"] == leg["requests"]
         assert protocol["speedup"] > 0
-        assert isinstance(protocol["gate_met"], bool)
-        assert protocol["gate_target"] == 2.0
+        verdict = _gate(tiny_report, "results.protocol.speedup")
+        assert isinstance(verdict["met"], bool) and not verdict["required"]
+        assert verdict["target"] == ">= 2"
 
     def test_cluster_section(self, tiny_report):
         cluster = tiny_report["results"]["cluster"]
@@ -83,13 +66,13 @@ class TestBenchServe:
             # One compile per distinct wheel across the whole pool — the
             # shared store dedupes the rest.
             assert leg["compiles"] >= 1
-        scaling = cluster["scaling"]
+        scaling = _gate(tiny_report, "results.cluster.efficiency.4")
         if scaling["skipped"]:
-            assert "cpu_count" in scaling["skip_reason"]
-            assert scaling["gate_met"] is None
+            assert "cpu_count" in scaling["reason"]
+            assert scaling["met"] is None
         else:
-            assert isinstance(scaling["gate_met"], bool)
-        assert "1" in scaling["efficiency"]
+            assert isinstance(scaling["met"], bool)
+        assert "1" in cluster["efficiency"]
 
     def test_cluster_determinism_certificate(self, tiny_report):
         cert = tiny_report["results"]["cluster"]["determinism"]
@@ -110,8 +93,9 @@ class TestBenchServe:
         assert update["min_speedup"] == min(
             leg["speedup"] for leg in update["legs"].values()
         )
-        assert update["gate_target"] == 10.0
-        assert isinstance(update["gate_met"], bool)
+        verdict = _gate(tiny_report, "results.update.min_speedup")
+        assert verdict["measured"] == update["min_speedup"]
+        assert verdict["target"] == ">= 10"
 
     def test_mutate_leg(self, tiny_report):
         leg = tiny_report["results"]["update"]["mutate"]
@@ -142,55 +126,51 @@ class TestBenchServe:
         assert colony["factor"] == pytest.approx(
             colony["served_s"] / colony["inprocess_s"]
         )
-        assert colony["gate_target"] == 25.0
-        assert isinstance(colony["gate_met"], bool)
+        verdict = _gate(tiny_report, "results.colony.factor")
+        assert verdict["target"] == "<= 25"
+        assert isinstance(verdict["met"], bool)
 
     def test_validate_rejects_corruption(self, tiny_report):
-        bad = json.loads(json.dumps(tiny_report))
-        bad["results"]["determinism"]["ok"] = False
-        with pytest.raises(ValueError, match="determinism"):
-            validate_bench_serve(bad)
-        bad2 = json.loads(json.dumps(tiny_report))
-        del bad2["results"]["legs"]["naive"]
-        with pytest.raises(ValueError, match="naive"):
-            validate_bench_serve(bad2)
-        bad3 = json.loads(json.dumps(tiny_report))
-        bad3["results"]["cluster"]["determinism"]["ok"] = False
-        with pytest.raises(ValueError, match="per-shard"):
-            validate_bench_serve(bad3)
-        bad4 = json.loads(json.dumps(tiny_report))
-        bad4["results"]["cluster"]["scaling"]["skipped"] = True
-        bad4["results"]["cluster"]["scaling"]["skip_reason"] = None
-        with pytest.raises(ValueError, match="skip_reason"):
-            validate_bench_serve(bad4)
-        bad5 = json.loads(json.dumps(tiny_report))
-        del bad5["results"]["protocol"]["legs"]["frames"]
-        with pytest.raises(ValueError, match="frames"):
-            validate_bench_serve(bad5)
-        bad6 = json.loads(json.dumps(tiny_report))
-        bad6["results"]["update"]["determinism"]["ok"] = False
-        with pytest.raises(ValueError, match="per-version"):
-            validate_bench_serve(bad6)
-        bad7 = json.loads(json.dumps(tiny_report))
-        bad7["results"]["update"]["gate_met"] = "yes"
-        with pytest.raises(ValueError, match="update.gate_met"):
-            validate_bench_serve(bad7)
-        bad8 = json.loads(json.dumps(tiny_report))
-        del bad8["results"]["colony"]
-        with pytest.raises(ValueError, match="colony"):
-            validate_bench_serve(bad8)
+        def corrupt(mutate, match):
+            bad = json.loads(json.dumps(tiny_report))
+            mutate(bad)
+            with pytest.raises(ValueError, match=match):
+                validate(bad)
+
+        corrupt(lambda r: r["results"]["determinism"].update(ok=False), "determinism")
+        corrupt(lambda r: r["results"]["legs"].pop("naive"), "naive")
+        corrupt(
+            lambda r: r["results"]["cluster"]["determinism"].update(ok=False),
+            "cluster.determinism",
+        )
+        corrupt(
+            lambda r: _gate(r, "results.cluster.efficiency.4").update(
+                skipped=True, met=None, measured=None, reason=None
+            ),
+            "reason",
+        )
+        corrupt(lambda r: r["results"]["protocol"]["legs"].pop("frames"), "frames")
+        corrupt(
+            lambda r: r["results"]["update"]["determinism"].update(ok=False),
+            "update.determinism",
+        )
+        corrupt(
+            lambda r: _gate(r, "results.update.min_speedup").update(met="yes"),
+            "update.min_speedup",
+        )
+        corrupt(lambda r: r["results"].pop("colony"), "colony")
         with pytest.raises(ValueError, match="schema"):
-            validate_bench_serve({"schema": "nope"})
+            validate({"schema": "nope"})
 
     def test_write_and_render(self, tiny_report, tmp_path):
-        path = write_bench_serve(tiny_report, str(tmp_path / "BENCH_serve.json"))
+        path = write(tiny_report, str(tmp_path / "BENCH_serve.json"))
         on_disk = json.loads(open(path, encoding="utf-8").read())
-        validate_bench_serve(on_disk)
+        validate(on_disk)
         text = render_bench_serve(tiny_report)
-        assert "batched" in text and "gate:" in text and "determinism" in text
+        assert "batched" in text and "gates:" in text and "determinism" in text
         assert "frames/jsonl" in text and "cluster sweep" in text
         assert "per-shard determinism" in text
-        assert "delta updates" in text and "update gate" in text
+        assert "delta updates" in text and "results.update.min_speedup" in text
         assert "per-version determinism" in text
         assert "dynamic colony loop" in text
 
@@ -255,34 +235,10 @@ class TestBenchServeCLI:
         from repro.cli import main
 
         out = tmp_path / "BENCH_serve.json"
-        code = main(
-            [
-                "bench-serve",
-                "--wheel-size",
-                "64",
-                "--clients",
-                "8",
-                "--requests-per-client",
-                "2",
-                "--draws-per-request",
-                "4",
-                "--cluster-workers",
-                "1",
-                "2",
-                "--mutate",
-                "--update-every",
-                "2",
-                "--update-k",
-                "2",
-                "--update-n",
-                "20000",
-                "--output",
-                str(out),
-            ]
-        )
-        assert code == 0
+        assert main(["bench", "serve", "--smoke", "--output", str(out)]) == 0
         report = json.loads(out.read_text())
-        validate_bench_serve(report)
+        validate(report)
         assert set(report["results"]["cluster"]["legs"]) == {"1", "2"}
         assert report["config"]["mutate"] is True
         assert report["results"]["update"]["mutate"]["updates"] > 0
+        assert _gate(report, "results.update.mutate.updates")["met"] is True

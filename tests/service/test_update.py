@@ -561,7 +561,7 @@ class TestUpdateAccounting:
 
     def test_mutate_load_merges_per_version_histograms_exactly(self):
         """Satellite: per-version histograms merge exactly across procs."""
-        from repro.service.loadgen import _measure_mutate_leg
+        from repro.service.bench import _measure_mutate_leg
         from repro.service.scheduler import BatchConfig
 
         config = BatchConfig(max_batch=32, max_delay_us=100.0)

@@ -5,35 +5,23 @@ import json
 
 import pytest
 
-from repro.tune.bench import (
-    BENCH_TUNE_SCHEMA,
-    render_bench_tune,
-    run_bench_tune,
-    validate_bench_tune,
-    write_bench_tune,
-)
+from repro.bench.record import SCHEMA, validate, write
+from repro.tune.bench import render_bench_tune
 
 
 @pytest.fixture(scope="module")
-def report(tmp_path_factory):
-    out = tmp_path_factory.mktemp("tune") / "calibration.json"
-    return run_bench_tune(
-        seed=0,
-        trials=3,
-        race_trials=2,
-        wheel_n=128,
-        clients=4,
-        requests_per_client=8,
-        race_trials_probe=4000,
-        calibration_out=str(out),
-    )
+def report(tune_record):
+    return tune_record
 
 
 class TestMiniatureRun:
     def test_record_is_well_formed(self, report):
-        validate_bench_tune(report)
-        assert report["schema"] == BENCH_TUNE_SCHEMA
-        assert isinstance(report["gates_met"], bool)
+        validate(report)
+        assert report["schema"] == SCHEMA
+        assert [g["name"] for g in report["gates"] if g["required"]] == [
+            "predictor.ok",
+            "determinism.ok",
+        ]
 
     def test_calibration_section_carries_the_cost_model(self, report):
         cal = report["calibration"]
@@ -54,8 +42,12 @@ class TestMiniatureRun:
 
     def test_speedup_gate_ran_or_skipped_with_reason(self, report):
         sg = report["speedup_gate"]
-        if sg["skipped"]:
-            assert sg["skip_reason"]
+        verdict = next(
+            g for g in report["gates"]
+            if g["name"] == "speedup_gate.worst_relative_error"
+        )
+        if verdict["skipped"]:
+            assert verdict["reason"] and "per_worker" not in sg
         else:
             assert set(sg["per_worker"]) == {"1", "2", "4"}
             assert sg["worst_relative_error"] >= 0.0
@@ -74,11 +66,11 @@ class TestMiniatureRun:
         assert det["ok"]
 
     def test_write_and_render(self, report, tmp_path):
-        path = write_bench_tune(report, str(tmp_path / "BENCH_tune.json"))
+        path = write(report, str(tmp_path / "BENCH_tune.json"))
         with open(path, encoding="utf-8") as fh:
-            assert json.load(fh)["schema"] == BENCH_TUNE_SCHEMA
+            assert json.load(fh)["schema"] == SCHEMA
         text = render_bench_tune(report)
-        assert "gates_met" in text
+        assert "gates:" in text
         assert "race-law check" in text
 
 
@@ -87,17 +79,17 @@ class TestValidation:
         for mutate in (
             lambda r: r.update(schema="repro/other/v1"),
             lambda r: r.pop("calibration"),
-            lambda r: r.pop("gates_met"),
+            lambda r: r.pop("gates"),
             lambda r: r["predictor"].update(ok="yes"),
             lambda r: r["autotune_gate"].update(ratio_vs_best_static=-1.0),
             lambda r: r["autotune_gate"].update(probe_budget_fraction=float("nan")),
-            lambda r: r["speedup_gate"].update(skipped=True, skip_reason=None),
+            lambda r: r["gates"][1].update(skipped=True, met=None, reason=None),
         ):
             bad = copy.deepcopy(report)
             mutate(bad)
             with pytest.raises(ValueError):
-                validate_bench_tune(bad)
+                validate(bad)
 
     def test_rejects_non_object(self):
         with pytest.raises(ValueError):
-            validate_bench_tune([])
+            validate([])
