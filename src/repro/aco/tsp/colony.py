@@ -59,11 +59,6 @@ class AntSystemConfig:
     local_search: bool = False
     #: Selection method name or instance for the next-city roulette.
     selection: Union[str, SelectionMethod] = "log_bidding"
-    #: Construct all ants of an iteration with one batched roulette per
-    #: step (requires a method in repro.core.batched.BATCH_METHODS;
-    #: distributionally identical to the per-ant loop, much faster).
-    #: Superseded by ``engine="vectorized"``; kept for compatibility.
-    vectorised: bool = False
     #: Construction engine: "scalar" runs the per-ant Python loop,
     #: "vectorized" advances all ants in lockstep through the
     #: repro.engine.colony kernel (one batched selection per step).
@@ -239,51 +234,6 @@ class AntSystem:
             tour = two_opt(self.instance, tour)
         return tour
 
-    def construct_tours_batch(self, count: int) -> List[Tour]:
-        """Construct ``count`` tours with one batched roulette per step.
-
-        All ants advance in lockstep: step ``t`` spins ``count`` wheels
-        at once (rows of a fitness matrix) — the data-parallel layout of
-        the GPU ACO implementations the paper cites.  Falls back to the
-        sequential loop for selection methods without a batched path.
-        """
-        from repro.core.batched import BATCH_METHODS, select_rows
-
-        if count <= 0:
-            raise ACOError(f"count must be positive, got {count}")
-        if self.selector.name not in BATCH_METHODS:
-            return [self.construct_tour() for _ in range(count)]
-        n = self.instance.n
-        desirability = self._desirability()
-        orders = np.empty((count, n), dtype=np.int64)
-        visited = np.zeros((count, n), dtype=bool)
-        rows = np.arange(count)
-        currents = (
-            np.asarray(self.rng.random(count)) * n
-        ).astype(np.int64) % n
-        orders[:, 0] = currents
-        visited[rows, currents] = True
-        for step in range(1, n):
-            fitness = np.where(visited, 0.0, desirability[currents])
-            ks = np.count_nonzero(fitness, axis=1)
-            dead = ks == 0
-            if dead.any():
-                # Underflowed rows: uniform over unvisited (same fallback
-                # as the sequential path).
-                fitness[dead] = (~visited[dead]).astype(np.float64)
-                ks[dead] = fitness[dead].sum(axis=1).astype(np.int64)
-            self.stats.record_many(ks)
-            winners, degenerate = select_rows(fitness, self.rng, method=self.selector.name)
-            if degenerate.any():  # pragma: no cover - excluded by fallback
-                raise ACOError("batched construction hit a degenerate row")
-            orders[:, step] = winners
-            visited[rows, winners] = True
-            currents = winners
-        tours = [Tour(self.instance, orders[i]) for i in range(count)]
-        if self.config.local_search:
-            tours = [two_opt(self.instance, t) for t in tours]
-        return tours
-
     def _iteration_tours_scalar(self) -> List[Tour]:
         """One iteration's tours via the per-ant loop, desirability hoisted.
 
@@ -380,8 +330,6 @@ class AntSystem:
         """One colony iteration; returns the iteration-best tour."""
         if self.config.engine == "vectorized":
             tours = self.construct_tours_lockstep()
-        elif self.config.vectorised:
-            tours = self.construct_tours_batch(self.config.n_ants)
         else:
             tours = self._iteration_tours_scalar()
         iteration_best = min(tours, key=lambda t: t.length)

@@ -34,7 +34,6 @@ from repro.core.selector import RouletteWheel, select, select_many, selection_co
 from repro.core.without_replacement import sample_without_replacement
 from repro.core.streaming import StreamingReservoir, StreamingSelector, streaming_select
 from repro.core.dynamic import FenwickSampler
-from repro.core.batched import BATCH_METHODS, select_rows
 
 __all__ = [
     "FitnessVector",
@@ -59,6 +58,4 @@ __all__ = [
     "StreamingReservoir",
     "streaming_select",
     "FenwickSampler",
-    "select_rows",
-    "BATCH_METHODS",
 ]

@@ -6,6 +6,7 @@ three ways: the scalar per-ant loop (desirability hoisted), the
 vectorized lockstep engine, and the faithful per-ant-stream replay.  It
 also records the run's sparsity profile (mean candidate count ``k`` per
 construction step — the ``k << n`` regime the paper targets), times the
+lockstep kernel on fresh vs converged weights, times the
 dynamic Fenwick wheel's batched vs scalar paths, and certifies
 seed-for-seed equivalence of the scalar and lockstep constructions on a
 small instance for all three colonies.  ``python -m repro bench aco``
@@ -15,11 +16,12 @@ records the result in ``BENCH_aco.json``.
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.bench.record import GATE, NONEMPTY, NUMBER, gate, make_record, render_gates
+from repro.bench.record import GATE, NONEMPTY, NUMBER, POSITIVE, gate, make_record, render_gates
 from repro.engine.colony import (
     DEFAULT_BLOCK,
     LOCKSTEP_METHODS,
@@ -49,10 +51,16 @@ REQUIRED = [
     ("results.dynamic_wheel", NONEMPTY),
     ("results.equivalence.per_method", NONEMPTY),
     ("results.equivalence.all_identical", GATE),
+    *[(f"results.converged.{key}", POSITIVE) for key in ("fresh_ms", "converged_ms", "slowdown")],
 ]
 
 #: ``--smoke``: 60 cities, 8 ants, 2 iterations.
 SMOKE = {"n": 60, "n_ants": 8, "iterations": 2}
+
+#: Decay applied to every weight off one ring tour by the converged leg.
+#: An unreinforced edge at ``rho = 0.5`` halves each iteration, so this is
+#: where a 500-city colony's off-tour weights stand near iteration 130.
+CONVERGED_DECAY = 2.0**-140
 
 #: Points kept when decimating the per-step sparsity profile for JSON.
 _PROFILE_POINTS = 50
@@ -117,6 +125,38 @@ def _bench_dynamic_wheel(n: int, seed: int, batch: int = 64, draws: int = 4096) 
         "select_loop_s": loop_select_s,
         "select_many_s": batch_select_s,
         "select_speedup": loop_select_s / batch_select_s if batch_select_s else float("inf"),
+    }
+
+
+def _converged_leg(
+    desirability: np.ndarray, n_ants: int, seed: int, block: int, repeats: int
+) -> Dict[str, Any]:
+    """Kernel time on fresh weights vs a converged colony's weights.
+
+    The converged state keeps the edges of one ring tour (city ``i`` to
+    ``i + 1``) and multiplies every other weight by
+    :data:`CONVERGED_DECAY`.  The lockstep kernel shifts the weights by
+    an exact power of two before its float32 scan, so the decayed
+    weights stay normal floats and a converged iteration should cost
+    about what a fresh one does.
+    """
+    n = desirability.shape[0]
+    ring, succ = np.arange(n), np.roll(np.arange(n), -1)
+    converged = desirability * CONVERGED_DECAY
+    converged[ring, succ] = desirability[ring, succ]
+    converged[succ, ring] = desirability[succ, ring]
+    workspace: Dict = {}
+    times = {}
+    for name, D in (("fresh", desirability), ("converged", converged)):
+        rng = np.random.default_rng(seed)
+        run = partial(tsp_lockstep_orders, D, n_ants, rng, block=block, workspace=workspace)
+        run()  # warm-up (workspace allocation)
+        times[name] = 1e3 * best_of(run, repeats=repeats)
+    return {
+        "decay": CONVERGED_DECAY,
+        "fresh_ms": times["fresh"],
+        "converged_ms": times["converged"],
+        "slowdown": times["converged"] / times["fresh"],
     }
 
 
@@ -273,6 +313,9 @@ def run_bench_aco(
         "k_last": k_profile[-1] if k_profile else None,
     }
 
+    converged = _converged_leg(
+        profile_colony._desirability(), n_ants, seed, block, iterations
+    )
     dynamic_wheel = _bench_dynamic_wheel(n, seed)
     equivalence = _equivalence_certificate(
         methods, equivalence_n, equivalence_ants, seed
@@ -294,11 +337,13 @@ def run_bench_aco(
         "sparsity": sparsity,
         "dynamic_wheel": dynamic_wheel,
         "equivalence": equivalence,
+        "converged": converged,
     }
     sections = {"results": results}
     gates = [
         gate(sections, "results.equivalence.all_identical", "==", True, required=True),
         gate(sections, f"results.per_method.{gate_method}.speedup", ">=", gate_target),
+        gate(sections, "results.converged.slowdown", "<=", 1.5),
     ]
     return make_record("aco", config, sections, gates)
 
@@ -323,6 +368,12 @@ def render_bench_aco(report: Dict[str, Any]) -> str:
     lines.append(
         f"sparsity: k {s['k_first']:.0f} -> {s['k_last']:.0f} over "
         f"{s['steps']} steps (mean per-step candidate count)"
+    )
+    cv = r["converged"]
+    lines.append(
+        f"converged kernel: {cv['fresh_ms']:.1f} ms fresh, "
+        f"{cv['converged_ms']:.1f} ms with off-tour weights x{cv['decay']:.3g} "
+        f"({cv['slowdown']:.2f}x)"
     )
     d = r["dynamic_wheel"]
     lines.append(

@@ -43,6 +43,7 @@ audit-facing batched selection that enforces the unified input contract
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -64,8 +65,7 @@ __all__ = [
     "coloring_lockstep_colors",
 ]
 
-#: Methods with a lockstep batched implementation (same set as
-#: ``repro.core.batched.BATCH_METHODS``).
+#: Methods with a lockstep batched implementation.
 LOCKSTEP_METHODS = ("log_bidding", "gumbel", "independent", "prefix_sum")
 
 #: Exact methods that share the fast inverse-CDF kernel: they all sample
@@ -320,15 +320,20 @@ def lockstep_select(
 # ----------------------------------------------------------------------
 # TSP kernel
 # ----------------------------------------------------------------------
+def _padded_shape(n: int, block: int) -> Tuple[int, int, int]:
+    """Block width, block count and padded row width of the TSP scan."""
+    b = max(1, min(int(block), n))
+    nb = -(-n // b)
+    return b, nb, nb * b
+
+
 class _TspWorkspace:
     """Preallocated buffers of the hot TSP loop (reused across iterations)."""
 
     def __init__(self, m: int, n: int, block: int, dtype=np.float64) -> None:
-        b = max(1, min(int(block), n))
+        b, self.nb, self.npad = _padded_shape(n, block)
         dt = np.dtype(dtype)
         self.m, self.n, self.block, self.dtype = m, n, b, dt
-        self.nb = -(-n // b)
-        self.npad = self.nb * b
         self.Dp = np.zeros((n, self.npad), dtype=dt)
         self.uv = np.empty((m, self.npad), dtype=dt)
         self.W = np.empty((m, self.npad), dtype=dt)
@@ -386,6 +391,37 @@ def _all_offdiagonal_positive(D: np.ndarray) -> bool:
     return bool(positive.all())
 
 
+def _scan_plan(D: np.ndarray, dtype, cdf: bool, npad: int) -> Tuple[np.dtype, int]:
+    """Scan dtype and the exponent ``e`` of the exact weight shift ``D * 2**e``.
+
+    ``e`` puts the largest weight below ``max(dtype) / npad``, so no block
+    or row sum of the scaled buffer can overflow, and leaves every
+    smaller weight the whole exponent range beneath it.  Only the
+    exponent of the largest weight enters ``e``, so ``D * 2**k`` gets the
+    shift ``e - k`` and the very same scan buffer.  The default policy
+    (``dtype=None``) scans the inverse-CDF methods in float32 unless the
+    smallest positive weight would still land below float32's smallest
+    normal; that call scans in float64.
+    """
+    if dtype is not None:
+        candidates = (np.dtype(dtype),)
+    elif cdf:
+        candidates = (np.dtype(np.float32), np.dtype(np.float64))
+    else:
+        candidates = (np.dtype(np.float64),)
+    top = float(D.max())
+    if top <= 0.0:
+        return candidates[0], 0
+    low = float(np.min(D, where=D > 0.0, initial=np.inf)) if len(candidates) > 1 else top
+    headroom = (npad - 1).bit_length()  # npad <= 2**headroom
+    for dt in candidates:
+        info = np.finfo(dt)
+        shift = info.maxexp - 1 - headroom - math.frexp(top)[1]
+        if math.ldexp(low, shift) >= info.smallest_normal:
+            break
+    return dt, shift
+
+
 def tsp_lockstep_orders(
     desirability: np.ndarray,
     count: int,
@@ -431,9 +467,21 @@ def tsp_lockstep_orders(
         dominant cost) and perturbs each selection probability only at
         the 2^-24 rounding level — the law stays the method's exact
         distribution, unlike the *method-level* bias of
-        ``independent``.  Pass ``np.float64`` to scan in full
-        precision; faithful mode (:func:`tsp_lockstep_orders_faithful`)
-        is always bit-exact float64.
+        ``independent``.  Before the scan the weights are multiplied by
+        an exact power of two ``2**e``, chosen from the largest weight
+        so that it times the padded row width stays below the dtype's
+        maximum: no block or row sum overflows, and the smaller weights
+        keep the whole exponent range below the top (~2^240 in float32)
+        instead of sliding into subnormals as pheromone decays.  Every
+        step of the scan (block sums, prefix sums, ``spin * total``,
+        comparisons) scales exactly, so the orders equal those of the
+        unshifted scan whenever its buffer held only normal values.
+        When the default float32 scan would still hold a subnormal
+        weight (a row range beyond ~2^240, about iteration 220 of an
+        Ant System at ``rho = 0.5``) that call scans in float64; an
+        explicit ``dtype`` is always honoured.  Faithful mode
+        (:func:`tsp_lockstep_orders_faithful`) is always bit-exact
+        float64.
 
     Returns
     -------
@@ -452,17 +500,17 @@ def tsp_lockstep_orders(
         raise ValueError(f"count must be positive, got {m}")
     rng = resolve_rng(rng)
     cdf = method in CDF_METHODS
-    if dtype is None:
-        dtype = np.float32 if cdf else np.float64
+    dtype, shift = _scan_plan(D, dtype, cdf, _padded_shape(n, block)[2])
     ws = _workspace(workspace, m, n, block, dtype)
     b, nb = ws.block, ws.nb
-    ws.Dp[:, :n] = D
+    np.ldexp(D, shift, out=ws.Dp[:, :n])
     uv, W, WM = ws.uv, ws.W, ws.WM
     uv[:, :n] = 1.0
     uv[:, n:] = 0.0
-    # Decided on the scan buffer, not on D: a weight positive in float64
-    # can underflow to zero in float32, and the fused path must then not
-    # run (it would treat a zero row as live and repeat a city).
+    # Decided on the scan buffer, not on D: with an explicit float32
+    # dtype a weight positive in float64 can still underflow to zero, and
+    # the fused path must then not run (it would treat a zero row as live
+    # and repeat a city).
     allpos = _all_offdiagonal_positive(ws.Dp[:, :n])
 
     orders = np.empty((m, n), dtype=np.int64)

@@ -202,6 +202,49 @@ class TestTspLockstepOrders:
         for row in orders:
             assert sorted(row.tolist()) == list(range(n))
 
+    @staticmethod
+    def _assert_first_step_law(D, row, ants=20_000):
+        """First-step frequencies from city ``row`` within 5 sigma of ``F_i``."""
+        n = D.shape[0]
+        starts = np.full(ants, row, dtype=np.int64)
+        orders = tsp_lockstep_orders(D, ants, np.random.default_rng(0), starts=starts)
+        assert (np.sort(orders, axis=1) == np.arange(n)).all()
+        freq = np.bincount(orders[:, 1], minlength=n) / ants
+        target = D[row] / D[row].sum()
+        sigma = np.sqrt(target * (1.0 - target) / ants)
+        assert np.all(np.abs(freq - target) <= 5.0 * sigma + 1e-12), (freq, target)
+
+    def test_law_exact_for_weights_below_float32_normals(self):
+        """(1, 2, 3) x 1e-45 are float32 subnormals before the shift."""
+        D = np.full((4, 4), 1e-45)
+        np.fill_diagonal(D, 0.0)
+        D[0, 1:] = np.array([1.0, 2.0, 3.0]) * 1e-45
+        self._assert_first_step_law(D, 0)
+
+    def test_law_exact_for_weights_above_float32_max(self):
+        """(1..5) x 1e39 are float32 inf before the shift."""
+        D = np.full((6, 6), 1e39)
+        np.fill_diagonal(D, 0.0)
+        D[0, 1:] = np.arange(1.0, 6.0) * 1e39
+        self._assert_first_step_law(D, 0)
+
+    def test_law_exact_past_float32_range_via_float64(self):
+        """A 2^266 row range exceeds float32 even after the shift."""
+        D = np.ones((4, 4))
+        np.fill_diagonal(D, 0.0)
+        D[0, 1:] = np.array([1.0, 2.0, 3.0]) * 1e-80
+        self._assert_first_step_law(D, 0)
+
+    @pytest.mark.parametrize("k", [-140, -60, 0, 60])
+    def test_power_of_two_scale_invariance(self, k):
+        """Scaling D by 2^k leaves the orders bitwise unchanged."""
+        n, m = 64, 16
+        D = np.random.default_rng(12).random((n, n)) + 0.01
+        np.fill_diagonal(D, 0.0)
+        base = tsp_lockstep_orders(D, m, np.random.default_rng(4))
+        scaled = tsp_lockstep_orders(D * 2.0**k, m, np.random.default_rng(4))
+        assert np.array_equal(scaled, base)
+
     def test_rejects_bad_inputs(self):
         D = np.ones((4, 4))
         with pytest.raises(UnknownMethodError):
