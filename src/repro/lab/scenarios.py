@@ -10,7 +10,7 @@ name       wraps
 engine     :func:`repro.engine.bench.run_bench` (compiled throughput)
 race       :func:`repro.engine.race_bench.run_bench_race` (round counts)
 aco        :func:`repro.engine.aco_bench.run_bench_aco` (tours/s)
-serve      the PR 5/7 service stack in-process (draws + updates /s)
+serve      :func:`repro.service.bench.measure_scheduler_leg` (draws/s)
 accuracy   :func:`repro.bench.runner.monte_carlo_selection` (Tables I/II)
 tune       :func:`repro.tune.bench.run_bench_tune` (speedup prediction)
 rs         :func:`repro.select.rs.run_rs` (screening PCS / samples)
@@ -139,90 +139,51 @@ def _aco(params: Mapping[str, Any]) -> Dict[str, Any]:
 
 @scenario("serve")
 def _serve(params: Mapping[str, Any]) -> Dict[str, Any]:
-    """Served draw/update throughput through the PR 5/7 service stack.
+    """Served draw throughput through the service stack, naive vs batched.
 
     Runs in-process (registry + micro-batch scheduler + closed-loop
-    clients) so a lab matrix can sweep backends and batching knobs
-    without binding ports; the TCP/cluster legs stay in ``bench serve``.
+    clients, the scheduler legs of ``bench serve``) so a lab matrix can
+    sweep backends and batching knobs without binding ports; the TCP,
+    cluster and UPDATE legs stay in ``bench serve``.
     """
-    import asyncio
-
     import numpy as np
 
-    from repro.service.loadgen import run_closed_loop
-    from repro.service.registry import WheelRegistry
+    from repro.service.bench import measure_scheduler_leg
     from repro.service.scheduler import (
         BatchConfig,
         MicroBatchScheduler,
         NaiveScheduler,
     )
 
-    n = int(params.get("n", 1000))
-    method = str(params.get("method", "log_bidding"))
-    backend = str(params.get("backend", "compiled"))
-    clients = int(params.get("clients", 16))
-    requests_per_client = int(params.get("requests_per_client", 8))
     n_draws = int(params.get("n_draws", 8))
     seed = int(params.get("seed", 0))
-    update_every = int(params.get("update_every", 0))
-    update_k = int(params.get("update_k", 8))
     config = BatchConfig(
         max_batch=int(params.get("max_batch", 64)),
         max_delay_us=float(params.get("max_delay_us", 200.0)),
     )
-    fitness = np.arange(1.0, n + 1.0)
-    total_requests = clients * requests_per_client
+    fitness = np.arange(1.0, int(params.get("n", 1000)) + 1.0)
 
     def measure(make_scheduler) -> Dict[str, Any]:
-        registry = WheelRegistry()
-        wheel_id, _ = registry.register(fitness, method=method, backend=backend)
-        sched = make_scheduler(registry)
-
-        async def go() -> Dict[str, Any]:
-            await run_closed_loop(
-                sched, wheel_id, clients=min(clients, 4),
-                requests_per_client=1, n_draws=n_draws,
-            )
-            elapsed = await run_closed_loop(
-                sched, wheel_id, clients=clients,
-                requests_per_client=requests_per_client, n_draws=n_draws,
-            )
-            stats: Dict[str, Any] = {"elapsed_s": elapsed}
-            if update_every > 0 and hasattr(sched, "update"):
-                rng = np.random.default_rng(seed + 1)
-                updates = max(1, total_requests // update_every)
-                current = wheel_id
-                t0 = time.perf_counter()
-                for _ in range(updates):
-                    idx = rng.choice(n, size=min(update_k, n), replace=False)
-                    vals = 1.0 + rng.random(idx.size)
-                    current, _info = await sched.update(current, idx, vals)
-                stats["updates"] = updates
-                stats["updates_per_s"] = updates / (time.perf_counter() - t0)
-            close = getattr(sched, "close", None)
-            if close is not None:
-                await close()
-            return stats
-
-        return asyncio.run(go())
+        return measure_scheduler_leg(
+            make_scheduler,
+            fitness,
+            method=str(params.get("method", "log_bidding")),
+            backend=str(params.get("backend", "compiled")),
+            clients=int(params.get("clients", 16)),
+            requests_per_client=int(params.get("requests_per_client", 8)),
+            n_draws=n_draws,
+        )
 
     naive = measure(lambda r: NaiveScheduler(r, seed=seed))
     batched = measure(lambda r: MicroBatchScheduler(r, config, seed=seed))
-    naive_rps = total_requests / naive["elapsed_s"] if naive["elapsed_s"] else 0.0
-    batched_rps = (
-        total_requests / batched["elapsed_s"] if batched["elapsed_s"] else 0.0
-    )
-    out = {
-        "requests": total_requests,
+    naive_rps, batched_rps = naive["requests_per_s"], batched["requests_per_s"]
+    return {
+        "requests": batched["requests"],
         "requests_per_s_naive": naive_rps,
         "requests_per_s_batched": batched_rps,
         "speedup_batched_vs_naive": batched_rps / naive_rps if naive_rps else 0.0,
-        "draws_per_s": batched_rps * n_draws,
+        "draws_per_s": batched["draws_per_s"],
     }
-    if "updates_per_s" in batched:
-        out["updates"] = batched["updates"]
-        out["updates_per_s"] = batched["updates_per_s"]
-    return out
 
 
 @scenario("accuracy")

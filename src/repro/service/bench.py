@@ -4,9 +4,9 @@
 :mod:`repro.service.loadgen` against every serving layer and records
 ``BENCH_serve.json``:
 
-* the scheduler legs (naive / cached_naive / batched) and their
-  >= 10x coalescing gate, coalescing-determinism certificate, and
-  overload probe;
+* the scheduler legs (naive / cached_naive / batched, each one
+  :func:`measure_scheduler_leg`) and their >= 10x coalescing gate,
+  coalescing-determinism certificate, and overload probe;
 * a **protocol** leg pair — the same closed-loop TCP workload spoken as
   JSON-lines vs binary frames — gated at >= 2x;
 * a **cluster** worker sweep (1, 2, 4, 8 shard processes) with scaling
@@ -17,6 +17,14 @@
   mutate leg with per-version latency histograms, the per-version
   determinism certificate, and the served-vs-in-process colony loop.
 
+Every TCP leg runs against one ephemeral loopback server, and every
+load-generated leg comes from one :func:`~repro.service.loadgen.run_tcp_load`
+(or :func:`measure_scheduler_leg`), so each reports ``draw_requests``
+and ``draws = draw_requests * n_draws``.  Every
+certificate compares the same two pieces: draws served for request
+seeds ``0..k-1`` and the same requests replayed on an oracle wheel
+through :func:`~repro.rng.streams.request_stream`.
+
 The determinism certificates, the overload shape and the mutate leg's
 update traffic are required gates; the throughput gates are advisory.
 """
@@ -24,9 +32,10 @@ update traffic are required gates; the throughput gates are advisory.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import os
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,12 +54,11 @@ from repro.engine.compiled import AcceptanceWheel, CompiledWheel
 from repro.rng.streams import request_stream
 from repro.service.cluster import ClusterService
 from repro.service.loadgen import (
+    _connect,
     _send_request,
-    _split_clients,
     run_closed_loop,
     run_open_loop,
     run_tcp_load,
-    run_tcp_mutate_load,
 )
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import raise_structured
@@ -59,7 +67,13 @@ from repro.service.scheduler import BatchConfig, MicroBatchScheduler, NaiveSched
 from repro.service.server import SelectionService, start_tcp_server
 from repro.tune.timers import median_of
 
-__all__ = ["run_bench_serve", "render_bench_serve", "REQUIRED", "SMOKE"]
+__all__ = [
+    "run_bench_serve",
+    "render_bench_serve",
+    "measure_scheduler_leg",
+    "REQUIRED",
+    "SMOKE",
+]
 
 #: The mutate leg's gate: UPDATEs served under live traffic.
 _MUTATE_GATE = "results.update.mutate.updates"
@@ -134,6 +148,82 @@ _UPDATE_GATE_KS = (10, 100, 1000)
 #: vectorized loop — the "serving a live colony is viable" gate.
 _COLONY_GATE_TARGET = 25.0
 
+#: Registry counters the update sections report.
+_UPDATE_STATS = (
+    "updates",
+    "update_hits",
+    "delta_recompiles",
+    "update_fenwick",
+    "update_rebuild",
+    "max_chain_len",
+    "misses",
+)
+
+
+# ----------------------------------------------------------------------
+# Shared harness: service lifetimes, served draws and their replay
+# ----------------------------------------------------------------------
+
+
+async def _ask(service, request: Dict[str, Any]) -> Dict[str, Any]:
+    """One request to an in-process service; a structured error raises."""
+    reply = await service.handle_request(request)
+    raise_structured(reply)
+    return reply
+
+
+def _run_closing(service, body: Callable[[Any], Awaitable[Any]]) -> Any:
+    """``asyncio.run(body(service))``, closing ``service`` however it ends."""
+
+    async def go() -> Any:
+        try:
+            return await body(service)
+        finally:
+            await service.close()
+
+    return asyncio.run(go())
+
+
+@contextlib.asynccontextmanager
+async def _ephemeral_server(service):
+    """Serve ``service`` on an ephemeral loopback port; yield the port.
+
+    On exit the listener closes, then the service.
+    """
+    server = await start_tcp_server(service, port=0)
+    try:
+        yield server.sockets[0].getsockname()[1]
+    finally:
+        server.close()
+        await server.wait_closed()
+        await service.close()
+
+
+async def _served_draws(service, wheel_id: str, sizes: Sequence[int]) -> List[np.ndarray]:
+    """Draw ``sizes[i]`` under request seed ``i``, every request in flight at once."""
+    replies = await asyncio.gather(
+        *(
+            _ask(service, {"op": "draw", "wheel": wheel_id, "n": n, "seed": i})
+            for i, n in enumerate(sizes)
+        )
+    )
+    return [np.asarray(r["draws"]) for r in replies]
+
+
+def _replayed_draws(wheel, seed: int, wheel_id: str, sizes: Sequence[int]) -> List[np.ndarray]:
+    """The replay oracle: the same requests on ``wheel``, one substream each."""
+    return [
+        wheel.select_many(n, request_stream(seed, digest_key(wheel_id), i))
+        for i, n in enumerate(sizes)
+    ]
+
+
+def _identical(first: Sequence[np.ndarray], *others: Sequence[np.ndarray]) -> bool:
+    """Every run holds byte-identical draws, response for response."""
+    return all(
+        len(other) == len(first) and all(np.array_equal(a, b) for a, b in zip(first, other))
+        for other in others
+    )
 
 
 # ----------------------------------------------------------------------
@@ -169,18 +259,52 @@ class _CachedNaiveScheduler:
         return draws
 
 
-def _leg_report(
-    scheduler, elapsed: float, requests: int, n_draws: int
+def measure_scheduler_leg(
+    make_scheduler: Callable[[WheelRegistry], Any],
+    fitness: np.ndarray,
+    *,
+    method: str = "log_bidding",
+    backend: Optional[str] = None,
+    clients: int,
+    requests_per_client: int,
+    n_draws: int,
 ) -> Dict[str, Any]:
-    metrics = scheduler.metrics
+    """One in-process closed-loop leg: register, warm up, measure, close.
+
+    ``make_scheduler(registry)`` builds the scheduler under test.  One
+    request from each of up to 8 clients primes allocators and compiled
+    tables before the timed run; the report carries throughput and the
+    scheduler's latency and batch-size histograms.
+    """
+    registry = WheelRegistry()
+    wheel_id, _ = registry.register(fitness, method=method, backend=backend)
+    scheduler = make_scheduler(registry)
+
+    async def go() -> float:
+        await run_closed_loop(
+            scheduler, wheel_id, clients=min(clients, 8),
+            requests_per_client=1, n_draws=n_draws,
+        )
+        elapsed = await run_closed_loop(
+            scheduler, wheel_id, clients=clients,
+            requests_per_client=requests_per_client, n_draws=n_draws,
+        )
+        close = getattr(scheduler, "close", None)
+        if close is not None:
+            await close()
+        return elapsed
+
+    elapsed = asyncio.run(go())
+    requests = clients * requests_per_client
     return {
         "requests": requests,
+        "draw_requests": requests,
         "draws": requests * n_draws,
         "elapsed_s": elapsed,
         "requests_per_s": requests / elapsed if elapsed > 0 else 0.0,
         "draws_per_s": requests * n_draws / elapsed if elapsed > 0 else 0.0,
-        "latency": metrics.latency.snapshot(),
-        "batch_sizes": metrics.batch_sizes.snapshot(),
+        "latency": scheduler.metrics.latency.snapshot(),
+        "batch_sizes": scheduler.metrics.batch_sizes.snapshot(),
     }
 
 
@@ -196,48 +320,29 @@ def _determinism_certificate(
     agree byte for byte.
     """
     sizes = [1, 3, 17, 64, 5, 128, 2, 31]
-    per_method: Dict[str, Any] = {}
-    all_ok = True
-    for method in methods:
-        fitness = np.arange(1.0, wheel_size + 1.0)
-        registry = WheelRegistry()
-        wheel_id, _ = registry.register(fitness, method=method)
-        wheel = registry.get(wheel_id)
+    fitness = np.arange(1.0, wheel_size + 1.0)
 
-        async def serve(max_batch: int) -> List[np.ndarray]:
-            sched = MicroBatchScheduler(
-                registry,
-                BatchConfig(max_batch=max_batch, max_delay_us=500.0),
-                seed=seed,
-            )
-            out = await asyncio.gather(
-                *(
-                    sched.draw(wheel_id, n, seed=i)
-                    for i, n in enumerate(sizes)
-                )
-            )
-            await sched.close()
-            return out
-
-        coalesced = asyncio.run(serve(max_batch=len(sizes)))
-        solo = asyncio.run(serve(max_batch=1))
-        direct = [
-            wheel.select_many(
-                n, request_stream(seed, digest_key(wheel_id), i)
-            )
-            for i, n in enumerate(sizes)
-        ]
-        ok = all(
-            np.array_equal(c, s) and np.array_equal(c, d)
-            for c, s, d in zip(coalesced, solo, direct)
+    def serve(method: str, max_batch: int) -> List[np.ndarray]:
+        service = SelectionService(
+            seed=seed, config=BatchConfig(max_batch=max_batch, max_delay_us=500.0)
         )
-        all_ok = all_ok and ok
+        wheel_id, _ = service.registry.register(fitness, method=method)
+        return _run_closing(service, lambda s: _served_draws(s, wheel_id, sizes))
+
+    registry = WheelRegistry()
+    per_method: Dict[str, Any] = {}
+    for method in methods:
+        wheel_id, _ = registry.register(fitness, method=method)
+        direct = _replayed_draws(registry.get(wheel_id), seed, wheel_id, sizes)
         per_method[method] = {
             "requests": len(sizes),
             "sizes": sizes,
-            "bitwise_identical": bool(ok),
+            "bitwise_identical": _identical(
+                serve(method, len(sizes)), serve(method, 1), direct
+            ),
         }
-    return {"methods": per_method, "ok": bool(all_ok)}
+    ok = all(entry["bitwise_identical"] for entry in per_method.values())
+    return {"methods": per_method, "ok": ok}
 
 
 def _overload_probe(
@@ -281,49 +386,36 @@ def _overload_probe(
 
 
 # ----------------------------------------------------------------------
-# Protocol (frames vs JSON-lines) legs
+# TCP legs: frames vs JSON-lines, and the mutating load
 # ----------------------------------------------------------------------
 
 
-def _measure_protocol_leg(
-    kind: str,
-    fitness: np.ndarray,
-    method: str,
-    *,
-    clients: int,
-    requests_per_client: int,
-    n_draws: int,
-    seed: int,
-    procs: int,
-    config: BatchConfig,
-) -> Dict[str, Any]:
-    """One TCP leg: ephemeral server, multi-process closed-loop clients."""
-    service = SelectionService(seed=seed, config=config)
+def _measure_tcp_leg(
+    fitness: np.ndarray, method: str, *, seed: int, config: BatchConfig, **load: Any
+) -> Tuple[Dict[str, Any], SelectionService]:
+    """One TCP leg: ephemeral server, warm-up, then ``run_tcp_load(**load)``.
+
+    Registry capacity covers every version a mutating load mints, so a
+    mutate leg measures delta-update latency rather than LRU churn.
+    """
+    every = load.get("update_every", 0)
+    versions = load["requests_per_client"] // every if every > 0 else 0
+    service = SelectionService(
+        seed=seed, config=config, max_wheels=max(256, load["clients"] * (versions + 1) + 16)
+    )
     wheel_id, _ = service.registry.register(fitness, method=method)
 
     async def go() -> Dict[str, Any]:
-        server = await start_tcp_server(service, port=0)
-        port = server.sockets[0].getsockname()[1]
-        try:
+        async with _ephemeral_server(service) as port:
             # Warm-up primes connections, allocators, compiled tables.
             await run_tcp_load(
-                "127.0.0.1", port, wheel_id, kind=kind,
-                clients=min(clients, 8), requests_per_client=2,
-                n_draws=n_draws, procs=1, seed_base=1 << 40,
+                "127.0.0.1", port, wheel_id, kind=load["kind"],
+                clients=min(load["clients"], 8), requests_per_client=2,
+                n_draws=load["n_draws"], seed_base=1 << 40,
             )
-            return await run_tcp_load(
-                "127.0.0.1", port, wheel_id, kind=kind,
-                clients=clients, requests_per_client=requests_per_client,
-                n_draws=n_draws, procs=procs, seed_base=0,
-            )
-        finally:
-            server.close()
-            await server.wait_closed()
-            await service.close()
+            return await run_tcp_load("127.0.0.1", port, wheel_id, **load)
 
-    leg = asyncio.run(go())
-    leg["batch_sizes"] = service.metrics.batch_sizes.snapshot()
-    return leg
+    return asyncio.run(go()), service
 
 
 def _protocol_section(
@@ -337,14 +429,14 @@ def _protocol_section(
     procs: int,
     config: BatchConfig,
 ) -> Dict[str, Any]:
-    legs = {
-        kind: _measure_protocol_leg(
-            kind, fitness, method,
-            clients=clients, requests_per_client=requests_per_client,
-            n_draws=n_draws, seed=seed, procs=procs, config=config,
+    legs = {}
+    for kind in ("jsonl", "frames"):
+        leg, service = _measure_tcp_leg(
+            fitness, method, seed=seed, config=config, kind=kind, clients=clients,
+            requests_per_client=requests_per_client, n_draws=n_draws, procs=procs,
         )
-        for kind in ("jsonl", "frames")
-    }
+        leg["batch_sizes"] = service.metrics.batch_sizes.snapshot()
+        legs[kind] = leg
     jsonl_rps = legs["jsonl"]["requests_per_s"]
     speedup = legs["frames"]["requests_per_s"] / jsonl_rps if jsonl_rps > 0 else 0.0
     return {
@@ -355,6 +447,25 @@ def _protocol_section(
         "legs": legs,
         "speedup": speedup,
     }
+
+
+def _measure_mutate_leg(
+    fitness: np.ndarray, method: str, *, seed: int, config: BatchConfig, **load: Any
+) -> Dict[str, Any]:
+    """The served ``--mutate`` leg over frames: draws interleaved with
+    chained UPDATEs, plus the server-side update counters."""
+    leg, service = _measure_tcp_leg(
+        fitness, method, seed=seed, config=config, kind="frames",
+        wheel_size=len(fitness), **load,
+    )
+    stats = service.registry.stats()
+    leg["service"] = {
+        "updates_total": service.metrics.updates_total,
+        "update_indices_total": service.metrics.update_indices_total,
+        "update_latency": service.metrics.update_latency.snapshot(),
+        "registry": {key: stats[key] for key in (*_UPDATE_STATS, "versions", "evictions")},
+    }
+    return leg
 
 
 # ----------------------------------------------------------------------
@@ -422,88 +533,78 @@ def _update_gate_section(
         "method": method,
         "legs": legs,
         "min_speedup": min_speedup,
-        "registry": {
-            key: stats[key]
-            for key in (
-                "updates",
-                "update_hits",
-                "delta_recompiles",
-                "update_fenwick",
-                "update_rebuild",
-                "max_chain_len",
-                "misses",
-            )
-        },
+        "registry": {key: stats[key] for key in _UPDATE_STATS},
     }
 
 
-def _measure_mutate_leg(
-    fitness: np.ndarray,
-    method: str,
+def _chain_certificate(
+    base: np.ndarray,
+    register: Dict[str, Any],
+    deltas: Sequence[Tuple[np.ndarray, np.ndarray]],
+    oracle: Callable[[np.ndarray, Any], Any],
     *,
-    clients: int,
-    requests_per_client: int,
-    n_draws: int,
-    update_every: int,
-    update_k: int,
+    sizes: Sequence[int],
     seed: int,
-    procs: int,
-    config: BatchConfig,
-) -> Dict[str, Any]:
-    """The served ``--mutate`` leg: ephemeral server, mutating clients.
+    workers: int,
+) -> Tuple[List[Dict[str, Any]], bool]:
+    """Serve one UPDATE chain on a 1-worker and a ``workers``-worker cluster.
 
-    Registry capacity is sized to the version count the workload mints,
-    so the leg measures delta-update latency rather than LRU churn; the
-    server-side update counters ride along in the report.
+    ``register`` holds the root's registration keywords.  Both clusters
+    must mint the version ids a local mirror registry derives, and every
+    version — root included — is drawn against twice: once the moment it
+    exists and once after the whole chain does.  A version is
+    bitwise-identical when all of those draws agree across pool sizes,
+    across the two passes (the copy-on-write guarantee: later updates
+    never disturb a parent), and with ``oracle(values, mirror_wheel)`` —
+    a freshly built wheel holding the version's values — replaying the
+    same requests.  Returns the per-version entries and whether every
+    version's two passes agreed.
     """
-    updates_per_client = (
-        requests_per_client // update_every if update_every > 0 else 0
-    )
-    service = SelectionService(
-        seed=seed,
-        config=config,
-        max_wheels=max(256, clients * (updates_per_client + 1) + 16),
-    )
-    wheel_id, _ = service.registry.register(fitness, method=method)
+    mirror = WheelRegistry()
+    ids = [mirror.register(base, **register)[0]]
+    values = [base]
+    for idx, vals in deltas:
+        ids.append(mirror.update(ids[-1], idx, vals)[0])
+        values.append(values[-1].copy())
+        values[-1][idx] = vals
 
-    async def go() -> Dict[str, Any]:
-        server = await start_tcp_server(service, port=0)
-        port = server.sockets[0].getsockname()[1]
-        try:
-            return await run_tcp_mutate_load(
-                "127.0.0.1", port, wheel_id, int(len(fitness)),
-                kind="frames", clients=clients,
-                requests_per_client=requests_per_client, n_draws=n_draws,
-                update_every=update_every, update_k=update_k,
-                procs=procs, seed_base=0,
+    async def walk(cluster) -> Tuple[List[str], List[Any], List[Any]]:
+        reply = await _ask(cluster, {"op": "register", "fitness": base.tolist(), **register})
+        minted = [reply["wheel"]]
+        first = [await _served_draws(cluster, minted[0], sizes)]
+        for idx, vals in deltas:
+            reply = await _ask(
+                cluster,
+                {
+                    "op": "update",
+                    "wheel": minted[-1],
+                    "indices": idx.tolist(),
+                    "values": vals.tolist(),
+                },
             )
-        finally:
-            server.close()
-            await server.wait_closed()
-            await service.close()
+            minted.append(reply["wheel"])
+            first.append(await _served_draws(cluster, minted[-1], sizes))
+        second = [await _served_draws(cluster, wid, sizes) for wid in minted]
+        return minted, first, second
 
-    leg = asyncio.run(go())
-    stats = service.registry.stats()
-    leg["service"] = {
-        "updates_total": service.metrics.updates_total,
-        "update_indices_total": service.metrics.update_indices_total,
-        "update_latency": service.metrics.update_latency.snapshot(),
-        "registry": {
-            key: stats[key]
-            for key in (
-                "updates",
-                "update_hits",
-                "delta_recompiles",
-                "update_fenwick",
-                "update_rebuild",
-                "max_chain_len",
-                "versions",
-                "misses",
-                "evictions",
-            )
-        },
-    }
-    return leg
+    (ids_1, first_1, second_1), (ids_n, first_n, second_n) = (
+        _run_closing(ClusterService(workers=n, seed=seed), walk) for n in (1, workers)
+    )
+    same_ids = ids_1 == ids == ids_n
+    entries = []
+    cow_stable = True
+    for version, wid in enumerate(ids):
+        wheel = mirror.get(wid)
+        direct = _replayed_draws(oracle(values[version], wheel), seed, wid, sizes)
+        stable = _identical(first_1[version], second_1[version]) and _identical(
+            first_n[version], second_n[version]
+        )
+        cow_stable = cow_stable and stable
+        ok = same_ids and stable and _identical(first_1[version], first_n[version], direct)
+        entries.append(
+            {"version": version, "wheel": wid, "kernel": wheel.kernel, "bitwise_identical": ok}
+        )
+    return entries, cow_stable
 
 
 def _version_determinism_certificate(
@@ -516,184 +617,40 @@ def _version_determinism_certificate(
 ) -> Dict[str, Any]:
     """The per-version determinism certificate.
 
-    A chain of UPDATEs is replayed on a 1-worker and a ``workers``-worker
-    cluster (asserting both mint the identical history-addressed ids),
-    and every version — root included — is drawn against twice: once the
-    moment it exists and once after the whole chain does.  All draws must
-    be byte-identical across pool sizes, across the two passes (the
-    copy-on-write guarantee: later updates never disturb a parent), and
-    against a direct replay oracle: a *freshly compiled* wheel holding
-    the version's values on the version's resolved kernel.  A
-    one-update ``stochastic_acceptance`` chain rides along with its own
+    A ``chain``-update history on a ``method`` wheel goes through
+    :func:`_chain_certificate`, whose oracle is a *freshly compiled*
+    wheel on the version's resolved kernel.  A one-update
+    ``stochastic_acceptance`` chain rides along with its own
     rejection-sampler oracle.
     """
     sizes = [1, 7, 33, 64]
     delta_rng = np.random.default_rng(seed + 1717)
     base = np.arange(1.0, wheel_size + 1.0)
     k = max(1, wheel_size // 50)
-
-    # Local mirror: derives each version's expected id, kernel, values.
-    mirror = WheelRegistry()
-    root_id, _ = mirror.register(base, method=method)
-    versions: List[Tuple[str, np.ndarray]] = [(root_id, base.copy())]
-    deltas: List[Tuple[np.ndarray, np.ndarray]] = []
-    current, values = root_id, base.copy()
-    for _ in range(chain):
-        idx = delta_rng.choice(wheel_size, size=k, replace=False)
-        vals = delta_rng.random(k) + 0.5
-        deltas.append((idx, vals))
-        current, _ = mirror.update(current, idx, vals)
-        values = values.copy()
-        values[idx] = vals
-        versions.append((current, values))
-
-    def serve(n_workers: int):
-        cluster = ClusterService(workers=n_workers, seed=seed)
-
-        async def draw_all(wid: str) -> List[np.ndarray]:
-            responses = await asyncio.gather(
-                *(
-                    cluster.handle_request(
-                        {"op": "draw", "wheel": wid, "n": sz, "seed": i}
-                    )
-                    for i, sz in enumerate(sizes)
-                )
-            )
-            for r in responses:
-                raise_structured(r)
-            return [np.asarray(r["draws"]) for r in responses]
-
-        async def go():
-            reply = await cluster.handle_request(
-                {"op": "register", "fitness": base.tolist(), "method": method}
-            )
-            raise_structured(reply)
-            if reply["wheel"] != root_id:
-                raise AssertionError("cluster minted a different root id")
-            first: Dict[str, List[np.ndarray]] = {root_id: await draw_all(root_id)}
-            cur = root_id
-            for idx, vals in deltas:
-                reply = await cluster.handle_request(
-                    {
-                        "op": "update",
-                        "wheel": cur,
-                        "indices": idx.tolist(),
-                        "values": vals.tolist(),
-                    }
-                )
-                raise_structured(reply)
-                cur = reply["wheel"]
-                first[cur] = await draw_all(cur)
-            if list(first) != [wid for wid, _ in versions]:
-                raise AssertionError("cluster minted different version ids")
-            second = {wid: await draw_all(wid) for wid, _ in versions}
-            await cluster.close()
-            return first, second
-
-        return asyncio.run(go())
-
-    single_first, single_second = serve(1)
-    multi_first, multi_second = serve(workers)
-    per_version = []
-    all_ok = True
-    cow_stable = True
-    for version, (wid, vals_v) in enumerate(versions):
-        kernel = mirror.get(wid).kernel
-        oracle = CompiledWheel(vals_v, method, kernel=kernel)
-        direct = [
-            oracle.select_many(sz, request_stream(seed, digest_key(wid), i))
-            for i, sz in enumerate(sizes)
-        ]
-        stable = all(
-            np.array_equal(a, b) and np.array_equal(c, d)
-            for a, b, c, d in zip(
-                single_first[wid], single_second[wid],
-                multi_first[wid], multi_second[wid],
-            )
-        )
-        ok = stable and all(
-            np.array_equal(a, c) and np.array_equal(a, e)
-            for a, c, e in zip(single_first[wid], multi_first[wid], direct)
-        )
-        cow_stable = cow_stable and stable
-        all_ok = all_ok and ok
-        per_version.append(
-            {
-                "version": version,
-                "wheel": wid,
-                "kernel": kernel,
-                "bitwise_identical": bool(ok),
-            }
-        )
-
-    # Acceptance-backend chain: one update, same three-way comparison
-    # against the rejection sampler's own replay oracle.
-    sa_mirror = WheelRegistry()
-    sa_root, _ = sa_mirror.register(base, backend="stochastic_acceptance")
-    sa_idx, sa_vals = deltas[0]
-    sa_child, _ = sa_mirror.update(sa_root, sa_idx, sa_vals)
-    sa_values = base.copy()
-    sa_values[sa_idx] = sa_vals
-
-    def serve_sa(n_workers: int) -> Tuple[str, List[np.ndarray]]:
-        cluster = ClusterService(workers=n_workers, seed=seed)
-
-        async def go():
-            reply = await cluster.handle_request(
-                {
-                    "op": "register",
-                    "fitness": base.tolist(),
-                    "backend": "stochastic_acceptance",
-                }
-            )
-            raise_structured(reply)
-            reply = await cluster.handle_request(
-                {
-                    "op": "update",
-                    "wheel": reply["wheel"],
-                    "indices": sa_idx.tolist(),
-                    "values": sa_vals.tolist(),
-                }
-            )
-            raise_structured(reply)
-            wid = reply["wheel"]
-            out = []
-            for i, sz in enumerate(sizes):
-                r = await cluster.handle_request(
-                    {"op": "draw", "wheel": wid, "n": sz, "seed": i}
-                )
-                raise_structured(r)
-                out.append(np.asarray(r["draws"]))
-            await cluster.close()
-            return wid, out
-
-        return asyncio.run(go())
-
-    sa_id_single, sa_single = serve_sa(1)
-    sa_id_multi, sa_multi = serve_sa(workers)
-    sa_oracle = AcceptanceWheel(sa_values)
-    sa_direct = [
-        sa_oracle.select_many(sz, request_stream(seed, digest_key(sa_child), i))
-        for i, sz in enumerate(sizes)
+    deltas = [
+        (delta_rng.choice(wheel_size, size=k, replace=False), delta_rng.random(k) + 0.5)
+        for _ in range(chain)
     ]
-    acceptance_ok = (
-        sa_id_single == sa_child
-        and sa_id_multi == sa_child
-        and all(
-            np.array_equal(a, b) and np.array_equal(a, c)
-            for a, b, c in zip(sa_single, sa_multi, sa_direct)
-        )
+    versions, cow_stable = _chain_certificate(
+        base, {"method": method}, deltas,
+        lambda values, wheel: CompiledWheel(values, method, kernel=wheel.kernel),
+        sizes=sizes, seed=seed, workers=workers,
     )
-    all_ok = all_ok and bool(acceptance_ok)
+    acceptance, _ = _chain_certificate(
+        base, {"backend": "stochastic_acceptance"}, deltas[:1],
+        lambda values, _: AcceptanceWheel(values),
+        sizes=sizes, seed=seed, workers=workers,
+    )
+    acceptance_ok = all(entry["bitwise_identical"] for entry in acceptance)
     return {
         "workers_compared": [1, workers],
         "method": method,
         "chain": chain,
         "sizes": sizes,
-        "versions": per_version,
-        "cow_stable": bool(cow_stable),
-        "acceptance_ok": bool(acceptance_ok),
-        "ok": bool(all_ok),
+        "versions": versions,
+        "cow_stable": cow_stable,
+        "acceptance_ok": acceptance_ok,
+        "ok": acceptance_ok and all(entry["bitwise_identical"] for entry in versions),
     }
 
 
@@ -718,11 +675,10 @@ def _update_section(
     mutate_clients = clients if mutate else min(clients, 16)
     mutate_rpc = requests_per_client if mutate else min(requests_per_client, 32)
     section["mutate"] = _measure_mutate_leg(
-        fitness, method,
+        fitness, method, seed=seed, config=config,
         clients=mutate_clients, requests_per_client=mutate_rpc,
         n_draws=n_draws, update_every=update_every,
-        update_k=min(update_k, wheel_size), seed=seed, procs=procs,
-        config=config,
+        update_k=min(update_k, wheel_size), procs=procs,
     )
     section["determinism"] = _version_determinism_certificate(
         min(wheel_size, 512), seed, method=method
@@ -778,43 +734,29 @@ def _colony_section(
     wheel_id, _ = service.registry.register(base, method=method)
 
     async def go() -> float:
-        server = await start_tcp_server(service, port=0)
-        port = server.sockets[0].getsockname()[1]
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
-        try:
-            warm = await _send_request(
-                "frames", reader, writer,
-                {"op": "draw", "wheel": wheel_id, "n": ants, "seed": 1 << 40},
-            )
-            raise_structured(warm)
-            cur = wheel_id
-            begin = time.perf_counter()
-            for it in range(iterations):
-                reply = await _send_request(
-                    "frames", reader, writer,
-                    {"op": "draw", "wheel": cur, "n": ants, "seed": it},
-                )
-                raise_structured(reply)
-                idx, vals = deltas[it]
-                reply = await _send_request(
-                    "frames", reader, writer,
-                    {"op": "update", "wheel": cur, "indices": idx, "values": vals},
-                )
-                raise_structured(reply)
-                cur = reply["wheel"]
-            return time.perf_counter() - begin
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
+        async with _ephemeral_server(service) as port:
+            async with _connect("127.0.0.1", port) as (reader, writer):
+
+                async def ask(request: Dict[str, Any]) -> Dict[str, Any]:
+                    reply = await _send_request("frames", reader, writer, request)
+                    raise_structured(reply)
+                    return reply
+
+                await ask({"op": "draw", "wheel": wheel_id, "n": ants, "seed": 1 << 40})
+                cur = wheel_id
+                begin = time.perf_counter()
+                for it in range(iterations):
+                    await ask({"op": "draw", "wheel": cur, "n": ants, "seed": it})
+                    idx, vals = deltas[it]
+                    reply = await ask(
+                        {"op": "update", "wheel": cur, "indices": idx, "values": vals}
+                    )
+                    cur = reply["wheel"]
+                served = time.perf_counter() - begin
             # Let the server-side handler observe the EOF and finish its
             # own close before the loop is torn down.
             await asyncio.sleep(0.05)
-            server.close()
-            await server.wait_closed()
-            await service.close()
+            return served
 
     served_s = asyncio.run(go())
     factor = served_s / inproc_s if inproc_s > 0 else 0.0
@@ -852,63 +794,32 @@ def _measure_cluster_leg(
     """Throughput of a ``workers``-shard cluster over binary frames.
 
     Several distinct wheels are registered so the consistent-hash ring
-    actually spreads load across shards; clients round-robin over them.
+    actually spreads load across shards; one load spreads its clients
+    over them, and its latency histogram is the exact merge over wheels.
     """
     cluster = ClusterService(workers=workers, seed=seed, config=config)
 
-    async def go() -> Dict[str, Any]:
-        wheel_ids = []
-        for fitness in fitness_vectors:
-            reply = await cluster.handle_request(
-                {"op": "register", "fitness": fitness, "method": method}
+    async def go() -> Tuple[Dict[str, Any], Dict[str, Any]]:
+        async with _ephemeral_server(cluster) as port:
+            wheel_ids = [
+                (await _ask(cluster, {"op": "register", "fitness": f, "method": method}))["wheel"]
+                for f in fitness_vectors
+            ]
+            load = await run_tcp_load(
+                "127.0.0.1", port, wheel_ids, kind="frames", clients=clients,
+                requests_per_client=requests_per_client, n_draws=n_draws, procs=procs,
             )
-            raise_structured(reply)
-            wheel_ids.append(reply["wheel"])
-        server = await start_tcp_server(cluster, port=0)
-        port = server.sockets[0].getsockname()[1]
-        try:
-            per_wheel_clients = _split_clients(clients, len(wheel_ids))
-            seed0 = 0
-            loads = []
-            for wheel_id, share in zip(wheel_ids, per_wheel_clients):
-                if share == 0:
-                    continue
-                loads.append(
-                    run_tcp_load(
-                        "127.0.0.1", port, wheel_id, kind="frames",
-                        clients=share, requests_per_client=requests_per_client,
-                        n_draws=n_draws, procs=max(1, procs // len(wheel_ids)),
-                        seed_base=seed0,
-                    )
-                )
-                seed0 += share * requests_per_client
-            start = time.perf_counter()
-            results = await asyncio.gather(*loads)
-            elapsed = time.perf_counter() - start
-            stats = await cluster.stats()
-            return {"results": results, "elapsed_s": elapsed, "stats": stats}
-        finally:
-            server.close()
-            await server.wait_closed()
-            await cluster.close()
+            return load, await cluster.stats()
 
-    out = asyncio.run(go())
-    total_requests = sum(r["requests"] for r in out["results"])
-    elapsed = out["elapsed_s"]
-    # Per-wheel loads report snapshots; the worst wheel bounds the leg.
-    p99 = max((r["latency"]["p99_us"] for r in out["results"]), default=0.0)
-    p50 = max((r["latency"]["p50_us"] for r in out["results"]), default=0.0)
-    shard_stats = out["stats"]["shards"]
+    load, stats = asyncio.run(go())
+    shard_stats = stats["shards"]
+    keys = ("requests", "draw_requests", "draws", "elapsed_s", "requests_per_s", "draws_per_s",
+            "latency")
     return {
         "workers": workers,
-        "requests": total_requests,
-        "draws": total_requests * n_draws,
-        "elapsed_s": elapsed,
-        "requests_per_s": total_requests / elapsed if elapsed > 0 else 0.0,
-        "draws_per_s": total_requests * n_draws / elapsed if elapsed > 0 else 0.0,
-        "latency": {"p50_us": p50, "p99_us": p99},
-        "routing": out["stats"]["routed"],
-        "routing_max_share": out["stats"]["routing_max_share"],
+        **{key: load[key] for key in keys},
+        "routing": stats["routed"],
+        "routing_max_share": stats["routing_max_share"],
         "batch_mean_size": (
             sum(s["batch_sizes"]["mean_size"] * s["batch_sizes"]["batches"] for s in shard_stats)
             / max(1, sum(s["batch_sizes"]["batches"] for s in shard_stats))
@@ -937,57 +848,30 @@ def _cluster_determinism_certificate(
         np.linspace(0.5, 7.5, wheel_size),
     ]
 
-    def serve(n_workers: int) -> List[List[np.ndarray]]:
-        cluster = ClusterService(workers=n_workers, seed=seed)
+    async def draw_all(cluster) -> List[List[np.ndarray]]:
+        out = []
+        for fitness in vectors:
+            reply = await _ask(cluster, {"op": "register", "fitness": fitness, "method": method})
+            out.append(await _served_draws(cluster, reply["wheel"], sizes))
+        return out
 
-        async def go() -> List[List[np.ndarray]]:
-            out: List[List[np.ndarray]] = []
-            for fitness in vectors:
-                reply = await cluster.handle_request(
-                    {"op": "register", "fitness": fitness, "method": method}
-                )
-                raise_structured(reply)
-                wheel_id = reply["wheel"]
-                responses = await asyncio.gather(
-                    *(
-                        cluster.handle_request(
-                            {"op": "draw", "wheel": wheel_id, "n": n, "seed": i}
-                        )
-                        for i, n in enumerate(sizes)
-                    )
-                )
-                for r in responses:
-                    raise_structured(r)
-                out.append([np.asarray(r["draws"]) for r in responses])
-            await cluster.close()
-            return out
-
-        return asyncio.run(go())
-
-    single = serve(1)
-    multi = serve(workers)
+    single, multi = (
+        _run_closing(ClusterService(workers=n, seed=seed), draw_all) for n in (1, workers)
+    )
     registry = WheelRegistry()
     per_wheel = []
-    all_ok = True
-    for v_idx, fitness in enumerate(vectors):
+    for fitness, served_1, served_n in zip(vectors, single, multi):
         wheel_id, _ = registry.register(fitness, method=method)
-        wheel = registry.get(wheel_id)
-        direct = [
-            wheel.select_many(n, request_stream(seed, digest_key(wheel_id), i))
-            for i, n in enumerate(sizes)
-        ]
-        ok = all(
-            np.array_equal(s, m) and np.array_equal(s, d)
-            for s, m, d in zip(single[v_idx], multi[v_idx], direct)
+        direct = _replayed_draws(registry.get(wheel_id), seed, wheel_id, sizes)
+        per_wheel.append(
+            {"wheel": wheel_id, "bitwise_identical": _identical(served_1, served_n, direct)}
         )
-        all_ok = all_ok and ok
-        per_wheel.append({"wheel": wheel_id, "bitwise_identical": bool(ok)})
     return {
         "workers_compared": [1, workers],
         "method": method,
         "sizes": sizes,
         "wheels": per_wheel,
-        "ok": bool(all_ok),
+        "ok": all(entry["bitwise_identical"] for entry in per_wheel),
     }
 
 
@@ -1096,41 +980,18 @@ def run_bench_serve(
     if procs <= 0:
         raise ValueError(f"procs must be positive, got {procs}")
     fitness = np.arange(1.0, wheel_size + 1.0)
-    total_requests = clients * requests_per_client
-
-    def measure(make_scheduler) -> Tuple[Any, float]:
-        registry = WheelRegistry()
-        wheel_id, _ = registry.register(fitness, method=method)
-        scheduler = make_scheduler(registry)
-
-        async def go() -> float:
-            # Warm-up round primes allocators and compiled tables.
-            await run_closed_loop(
-                scheduler, wheel_id, clients=min(clients, 8),
-                requests_per_client=1, n_draws=n_draws,
-            )
-            elapsed = await run_closed_loop(
-                scheduler, wheel_id, clients=clients,
-                requests_per_client=requests_per_client, n_draws=n_draws,
-            )
-            close = getattr(scheduler, "close", None)
-            if close is not None:
-                await close()
-            return elapsed
-
-        return scheduler, asyncio.run(go())
-
     config = BatchConfig(max_batch=max_batch, max_delay_us=max_delay_us)
-    naive, naive_s = measure(lambda r: NaiveScheduler(r, seed=seed))
-    cached, cached_s = measure(lambda r: _CachedNaiveScheduler(r, seed=seed))
-    batched, batched_s = measure(
-        lambda r: MicroBatchScheduler(r, config, seed=seed)
-    )
-
+    schedulers = {
+        "naive": lambda r: NaiveScheduler(r, seed=seed),
+        "cached_naive": lambda r: _CachedNaiveScheduler(r, seed=seed),
+        "batched": lambda r: MicroBatchScheduler(r, config, seed=seed),
+    }
     legs = {
-        "naive": _leg_report(naive, naive_s, total_requests, n_draws),
-        "cached_naive": _leg_report(cached, cached_s, total_requests, n_draws),
-        "batched": _leg_report(batched, batched_s, total_requests, n_draws),
+        name: measure_scheduler_leg(
+            make, fitness, method=method, clients=clients,
+            requests_per_client=requests_per_client, n_draws=n_draws,
+        )
+        for name, make in schedulers.items()
     }
     gate_speedup = (
         legs["batched"]["requests_per_s"] / legs["naive"]["requests_per_s"]

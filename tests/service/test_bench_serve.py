@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.bench.record import SCHEMA, validate, write
@@ -50,7 +51,8 @@ class TestBenchServe:
         for kind in ("jsonl", "frames"):
             leg = protocol["legs"][kind]
             assert leg["kind"] == kind
-            assert leg["requests"] == 8 * 2
+            assert leg["requests"] == leg["draw_requests"] == 8 * 2
+            assert leg["draws"] == leg["draw_requests"] * protocol["n_draws"]
             assert leg["requests_per_s"] > 0
             assert leg["latency"]["count"] == leg["requests"]
         assert protocol["speedup"] > 0
@@ -60,9 +62,14 @@ class TestBenchServe:
 
     def test_cluster_section(self, tiny_report):
         cluster = tiny_report["results"]["cluster"]
+        n_draws = tiny_report["config"]["n_draws"]
         assert set(cluster["legs"]) == {"1", "2"}
         for leg in cluster["legs"].values():
             assert leg["requests_per_s"] > 0
+            # One load over all wheels: the latency histogram is the
+            # exact merge, not a per-wheel summary.
+            assert leg["latency"]["count"] == leg["requests"] == leg["draw_requests"]
+            assert leg["draws"] == leg["draw_requests"] * n_draws
             # One compile per distinct wheel across the whole pool — the
             # shared store dedupes the rest.
             assert leg["compiles"] >= 1
@@ -102,10 +109,11 @@ class TestBenchServe:
         assert leg["kind"] == "frames"
         assert leg["update_every"] == 2 and leg["update_k"] == 2
         assert leg["updates"] > 0
-        assert leg["draws"] + leg["updates"] == leg["requests"]
+        assert leg["draw_requests"] + leg["updates"] == leg["requests"]
+        assert leg["draws"] == leg["draw_requests"] * tiny_report["config"]["n_draws"]
         per_version = leg["per_version_latency"]
         assert per_version
-        assert sum(h["count"] for h in per_version.values()) == leg["draws"]
+        assert sum(h["count"] for h in per_version.values()) == leg["draw_requests"]
         assert leg["update_latency"]["count"] == leg["updates"]
         assert leg["service"]["updates_total"] >= leg["updates"]
         # Delta updates never inflate the content-miss count: one root.
@@ -183,34 +191,49 @@ class TestBenchServe:
             run_bench_serve(procs=0)
 
 
+def _load_against(service, fitnesses, **load):
+    """Register ``fitnesses`` on ``service``, serve it on a loopback port,
+    and run one TCP load over all of them; returns ``(load, stats)``."""
+    import asyncio
+
+    from repro.service.bench import _ephemeral_server
+    from repro.service.loadgen import run_tcp_load
+
+    async def go():
+        async with _ephemeral_server(service) as port:
+            wheel_ids = []
+            for fitness in fitnesses:
+                reply = await service.handle_request({"op": "register", "fitness": fitness})
+                wheel_ids.append(reply["wheel"])
+            result = await run_tcp_load("127.0.0.1", port, wheel_ids, **load)
+            stats = await service.handle_request({"op": "stats"})
+            return result, stats["stats"]
+
+    return asyncio.run(asyncio.wait_for(go(), 60.0))
+
+
+def _rejects(match, **load):
+    import asyncio
+
+    from repro.service.loadgen import run_tcp_load
+
+    async def go():
+        with pytest.raises(ValueError, match=match):
+            await run_tcp_load("127.0.0.1", 1, "w1:00", **load)
+
+    asyncio.run(go())
+
+
 class TestTCPLoadGenerator:
     def test_multi_proc_merge_is_exact(self):
         """--procs fan-out: merged latency count equals total requests,
         throughput uses the slowest process's elapsed."""
-        import asyncio
+        from repro.service.server import SelectionService
 
-        from repro.service.loadgen import run_tcp_load
-        from repro.service.scheduler import BatchConfig
-        from repro.service.server import SelectionService, start_tcp_server
-
-        service = SelectionService(seed=0, config=BatchConfig())
-
-        async def go():
-            wid, _ = service.registry.register(list(range(1, 65)))
-            server = await start_tcp_server(service, port=0)
-            port = server.sockets[0].getsockname()[1]
-            try:
-                return await run_tcp_load(
-                    "127.0.0.1", port, wid,
-                    kind="frames", clients=4, requests_per_client=3,
-                    n_draws=4, procs=2,
-                )
-            finally:
-                server.close()
-                await server.wait_closed()
-                await service.close()
-
-        result = asyncio.run(asyncio.wait_for(go(), 60.0))
+        result, _ = _load_against(
+            SelectionService(seed=0), [list(range(1, 65))],
+            kind="frames", clients=4, requests_per_client=3, n_draws=4, procs=2,
+        )
         assert result["procs"] == 2
         assert result["requests"] == 12
         assert result["latency"]["count"] == 12
@@ -218,16 +241,55 @@ class TestTCPLoadGenerator:
         assert sum(p["requests"] for p in result["per_proc"]) == 12
         assert result["elapsed_s"] == max(p["elapsed_s"] for p in result["per_proc"])
 
+    def test_mutating_load_over_json_lines(self):
+        """The UPDATE branch of the JSON-lines wire: deltas go out as lists."""
+        from repro.service.server import SelectionService
+
+        result, _ = _load_against(
+            SelectionService(seed=0), [list(range(1, 33))],
+            kind="jsonl", clients=3, requests_per_client=6, n_draws=2,
+            update_every=2, update_k=3, wheel_size=32,
+        )
+        assert result["kind"] == "jsonl"
+        assert result["updates"] == 3 * (6 // 2)
+        assert result["max_version"] == 6 // 2
+        assert result["update_latency"]["count"] == result["updates"]
+        per_version = result["per_version_latency"]
+        assert set(per_version) == {"0", "1", "2"}
+        assert sum(h["count"] for h in per_version.values()) == result["draw_requests"]
+        assert result["draw_requests"] + result["updates"] == result["requests"] == 18
+        assert result["draws"] == result["draw_requests"] * 2
+
+    def test_multi_wheel_load_merges_exactly_across_shards(self):
+        """The cluster leg's eight wheels on a 2-worker cluster: one load,
+        one exactly merged histogram, traffic on both shards."""
+        from repro.service.cluster import ClusterService
+
+        fitnesses = [np.arange(1.0, 65.0) * (1.0 + 0.01 * k) for k in range(8)]
+        result, stats = _load_against(
+            ClusterService(workers=2, seed=0), fitnesses,
+            kind="frames", clients=16, requests_per_client=2, n_draws=4, procs=2,
+        )
+        assert result["wheels"] == 8
+        assert result["requests"] == 16 * 2
+        assert result["latency"]["count"] == result["requests"]
+        assert sum(p["requests"] for p in result["per_proc"]) == result["requests"]
+        # Routed counts registrations too; the shards' own counters hold
+        # the draw requests alone, and both shards served some.
+        routed = stats["routed"]
+        assert len(routed) == 2
+        assert sum(routed.values()) == len(fitnesses) + result["requests"]
+        served = [shard["requests_total"] for shard in stats["shards"]]
+        assert sum(served) == result["requests"] and all(n > 0 for n in served)
+
     def test_rejects_bad_kind(self):
-        import asyncio
+        _rejects("kind", kind="xml")
 
-        from repro.service.loadgen import run_tcp_load
+    def test_rejects_update_k_past_wheel_size(self):
+        _rejects("wheel_size", update_every=2, update_k=9, wheel_size=8)
 
-        async def go():
-            with pytest.raises(ValueError, match="kind"):
-                await run_tcp_load("127.0.0.1", 1, "w1:00", kind="xml")
-
-        asyncio.run(go())
+    def test_rejects_negative_update_every(self):
+        _rejects("update_every", update_every=-1)
 
 
 class TestBenchServeCLI:

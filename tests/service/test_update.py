@@ -575,11 +575,12 @@ class TestUpdateAccounting:
         for leg in (solo, split):
             assert leg["requests"] == 64
             assert leg["updates"] == 8 * (8 // 2)
-            assert leg["draws"] == leg["requests"] - leg["updates"]
+            assert leg["draw_requests"] == leg["requests"] - leg["updates"]
+            assert leg["draws"] == leg["draw_requests"] * 4
             # Exactness: per-version counts sum to the overall histogram.
             per_version = leg["per_version_latency"]
-            assert sum(h["count"] for h in per_version.values()) == leg["draws"]
-            assert leg["latency"]["count"] == leg["draws"]
+            assert sum(h["count"] for h in per_version.values()) == leg["draw_requests"]
+            assert leg["latency"]["count"] == leg["draw_requests"]
             assert leg["update_latency"]["count"] == leg["updates"]
         # The deterministic workload is identical however it is split.
         assert solo["max_version"] == split["max_version"]
