@@ -212,8 +212,8 @@ def _tune(params: Mapping[str, Any]) -> Dict[str, Any]:
     """One ``bench tune`` point: calibrate, predict, and gate on this host.
 
     Exposes the tuner's headline numbers as tidy columns so a lab
-    matrix can sweep seeds or workloads and chart prediction error and
-    autotune quality alongside the other scenarios.
+    matrix can sweep seeds or workloads and chart the calibrated costs
+    and prediction error alongside the other scenarios.
     """
     from repro.bench.record import failed_gates
     from repro.tune.bench import run_bench_tune
@@ -224,16 +224,9 @@ def _tune(params: Mapping[str, Any]) -> Dict[str, Any]:
         race_trials=int(params.get("race_trials", 4)),
         wheel_n=int(params.get("n", 1024)),
         method=str(params.get("method", "log_bidding")),
-        clients=int(params.get("clients", 8)),
-        requests_per_client=int(params.get("requests_per_client", 16)),
-        n_draws=int(params.get("n_draws", 8)),
         race_trials_probe=int(params.get("race_trials_probe", 5000)),
     )
-    cal, sg, at = (
-        report["calibration"],
-        report["speedup_gate"],
-        report["autotune_gate"],
-    )
+    cal, sg = report["calibration"], report["speedup_gate"]
     return {
         "draw_ns": cal["draw_ns"],
         "spawn_overhead_ms": cal["spawn_overhead_s"] * 1e3,
@@ -241,8 +234,6 @@ def _tune(params: Mapping[str, Any]) -> Dict[str, Any]:
         "race_law_error": report["predictor"]["worst_relative_error"],
         "speedup_gate_skipped": "worst_relative_error" not in sg,
         "speedup_gate_error": sg.get("worst_relative_error", 0.0),
-        "autotune_ratio": at["ratio_vs_best_static"],
-        "probe_budget_fraction": at["probe_budget_fraction"],
         "gates_failed": len(failed_gates(report)),
     }
 

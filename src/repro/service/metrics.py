@@ -160,12 +160,7 @@ class BatchSizeHistogram:
 
     @property
     def requests(self) -> int:
-        """Requests served across all batches (sum of observed sizes).
-
-        Together with :attr:`batches` this is the running total the
-        online delay controller reads as window deltas — mean batch
-        size over the last N flushes without retaining per-flush state.
-        """
+        """Requests served across all batches (sum of observed sizes)."""
         return self._requests
 
     def snapshot(self) -> Dict[str, Any]:
@@ -226,8 +221,6 @@ class ServiceMetrics:
         "update_indices_total",
         "queue_depth",
         "queue_peak",
-        "retunes_total",
-        "tuned_delay_us",
         "latency",
         "update_latency",
         "batch_sizes",
@@ -245,8 +238,6 @@ class ServiceMetrics:
         self.update_indices_total = 0
         self.queue_depth = 0
         self.queue_peak = 0
-        self.retunes_total = 0
-        self.tuned_delay_us = 0.0
         self.latency = LatencyHistogram()
         self.update_latency = LatencyHistogram()
         self.batch_sizes = BatchSizeHistogram()
@@ -291,11 +282,6 @@ class ServiceMetrics:
         self.update_indices_total += n_indices
         self.update_latency.observe(latency_s)
 
-    def retuned(self, delay_us: float) -> None:
-        """The online controller adjusted the coalescing delay."""
-        self.retunes_total += 1
-        self.tuned_delay_us = delay_us
-
     # ------------------------------------------------------------------
     def snapshot(self, extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         """One JSON-able view of every metric; ``extra`` is merged in."""
@@ -311,8 +297,6 @@ class ServiceMetrics:
             "update_indices_total": self.update_indices_total,
             "queue_depth": self.queue_depth,
             "queue_peak": self.queue_peak,
-            "retunes_total": self.retunes_total,
-            "tuned_delay_us": self.tuned_delay_us,
             "latency": self.latency.snapshot(),
             "update_latency": self.update_latency.snapshot(),
             "batch_sizes": self.batch_sizes.snapshot(),

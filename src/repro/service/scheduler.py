@@ -20,7 +20,8 @@ Batching policy (per wheel):
   tick — closed-loop clients coalesce fully without ever waiting out a
   timer;
 * ``max_delay_us`` bounds the wait regardless, so open-loop trickle
-  traffic sees bounded added latency.
+  traffic sees bounded added latency.  It is a fixed deployment
+  setting (``python -m repro serve --max-delay-us``).
 
 Overload policy: admission control refuses (never queues) work past
 ``queue_limit`` by raising :class:`ServiceOverloadedError`; queued
@@ -67,95 +68,16 @@ class BatchConfig:
     def __post_init__(self) -> None:
         if self.max_batch <= 0:
             raise ValueError(f"max_batch must be positive, got {self.max_batch}")
-        if self.max_delay_us < 0:
-            raise ValueError(f"max_delay_us must be >= 0, got {self.max_delay_us}")
+        if not (math.isfinite(self.max_delay_us) and self.max_delay_us >= 0):
+            raise ValueError(
+                f"max_delay_us must be finite and >= 0, got {self.max_delay_us}"
+            )
         if self.queue_limit <= 0:
             raise ValueError(f"queue_limit must be positive, got {self.queue_limit}")
         if self.max_request_draws <= 0:
             raise ValueError(
                 f"max_request_draws must be positive, got {self.max_request_draws}"
             )
-
-    @classmethod
-    def autotune(
-        cls,
-        *,
-        batch_base_s: float,
-        batch_per_draw_s: float,
-        arrival_rate_rps: float,
-        n_draws: int = 8,
-        concurrency: float = 1.0,
-        headroom: float = 2.0,
-        batch_cap: int = 1024,
-        delay_cap_us: float = 5000.0,
-        queue_limit: int = 1024,
-        max_request_draws: int = 1 << 20,
-    ) -> "BatchConfig":
-        """Derive ``max_batch``/``max_delay_us`` from the calibrated kernel model.
-
-        The calibration (:func:`repro.tune.probes.probe_batch_kernel`)
-        models one flush as ``batch_base_s + batch_per_draw_s * draws``.
-        Serving ``B`` coalesced requests of ``n_draws`` draws therefore
-        costs ``batch_base_s / B + batch_per_draw_s * n_draws`` per
-        request, and keeping up with ``arrival_rate_rps`` requests/s
-        needs that to stay under ``1 / rate`` — which pins the smallest
-        sustainable batch:
-
-            ``B_min = batch_base_s / (1/rate - batch_per_draw_s * n_draws)``
-
-        ``concurrency`` is the measured burst size of the workload (a
-        short probe run's ``queue_peak``): closed-loop clients arrive as
-        simultaneous bursts rather than a steady stream, and a batch
-        bound below the burst size splits every burst into multiple
-        kernel passes no matter what the rate says.  ``max_batch`` is
-        ``headroom * max(B_min, concurrency)`` (clamped to
-        ``[1, batch_cap]``; the cap also applies when the marginal draw
-        cost alone exceeds the arrival interval, i.e. no batch size can
-        keep up and the queue bound is the real defence).
-        ``max_delay_us`` is the time the target batch takes to *arrive*
-        at the given rate — waiting any longer buys no extra coalescing,
-        it only adds latency (clamped to ``delay_cap_us``).
-
-        Deterministic given its inputs; draws are untouched (the config
-        only decides when batches flush, never what any request draws).
-        """
-        if batch_base_s < 0.0 or batch_per_draw_s < 0.0:
-            raise ValueError(
-                f"kernel model costs must be >= 0, got base={batch_base_s}, "
-                f"per_draw={batch_per_draw_s}"
-            )
-        if arrival_rate_rps <= 0.0:
-            raise ValueError(
-                f"arrival_rate_rps must be positive, got {arrival_rate_rps}"
-            )
-        if n_draws <= 0:
-            raise ValueError(f"n_draws must be positive, got {n_draws}")
-        if concurrency < 1.0:
-            raise ValueError(f"concurrency must be >= 1, got {concurrency}")
-        if headroom < 1.0:
-            raise ValueError(f"headroom must be >= 1, got {headroom}")
-        if batch_cap < 1:
-            raise ValueError(f"batch_cap must be >= 1, got {batch_cap}")
-        if delay_cap_us < 0.0:
-            raise ValueError(f"delay_cap_us must be >= 0, got {delay_cap_us}")
-        slack_s = 1.0 / arrival_rate_rps - batch_per_draw_s * n_draws
-        if slack_s <= 0.0 or batch_base_s == 0.0:
-            # Marginal kernel cost alone exceeds the arrival interval
-            # (batch as hard as possible), or flushes are free (batch
-            # size is irrelevant; coalesce opportunistically only).
-            b_min = float(batch_cap) if slack_s <= 0.0 else 1.0
-        else:
-            b_min = batch_base_s / slack_s
-        max_batch = max(
-            1, min(batch_cap, math.ceil(headroom * max(b_min, concurrency)))
-        )
-        max_delay_us = min(delay_cap_us, 1e6 * max_batch / arrival_rate_rps)
-        return cls(
-            max_batch=max_batch,
-            max_delay_us=max_delay_us,
-            queue_limit=queue_limit,
-            max_request_draws=max_request_draws,
-        )
 
 
 @dataclass
@@ -194,15 +116,6 @@ class MicroBatchScheduler:
     metrics:
         Optional shared :class:`ServiceMetrics`; a private one is
         created otherwise.
-    controller:
-        Optional :class:`repro.tune.controller.DelayController` (or any
-        object with its ``observe(batch_sizes, config)`` signature).
-        When present, it is consulted after each flush and may adjust
-        ``config.max_delay_us`` within its bounds — adapting how long
-        trickle traffic waits to coalesce.  Off by default.  Tuning is
-        bitwise-invisible in responses: every request draws from its
-        own substream, so the controller changes *when* batches flush,
-        never what any request draws.
     """
 
     def __init__(
@@ -212,13 +125,11 @@ class MicroBatchScheduler:
         *,
         seed: int = 0,
         metrics: Optional[ServiceMetrics] = None,
-        controller=None,
     ) -> None:
         self.registry = registry
         self.config = config or BatchConfig()
         self.seed = int(seed)
         self.metrics = metrics if metrics is not None else ServiceMetrics()
-        self.controller = controller
         self._queues: Dict[str, _WheelQueue] = {}
         self._queued_requests = 0
         self._request_counter = 0
@@ -383,11 +294,6 @@ class MicroBatchScheduler:
                     req.future.set_exception(exc)
             return
         self.metrics.batch_sizes.observe(len(live))
-        if self.controller is not None:
-            tuned = self.controller.observe(self.metrics.batch_sizes, self.config)
-            if tuned is not None:
-                self.config.max_delay_us = tuned
-                self.metrics.retuned(tuned)
         done = time.monotonic()
         offset = 0
         for req in live:

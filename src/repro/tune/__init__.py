@@ -1,4 +1,4 @@
-"""Runtime-distribution capture, speedup prediction, and autotuning.
+"""Runtime-distribution capture, speedup prediction, and calibration.
 
 ``repro.tune`` closes the loop between measurement and configuration:
 
@@ -12,9 +12,6 @@
   cost constants and runtime distributions;
 * :mod:`repro.tune.calibration` — the atomic per-host calibration cache
   and the ``suggest_workers`` min-draws resolution chain;
-* :mod:`repro.tune.controller` — the bounded online controller that
-  adapts ``MicroBatchScheduler.max_delay_us`` from live batch-size
-  telemetry (off by default; never touches per-request substreams);
 * :mod:`repro.tune.restarts` — restart schedules (fixed cutoff, Luby)
   derived from captured restart-time distributions;
 * :mod:`repro.tune.bench` — ``python -m repro bench tune``, the gate
@@ -28,7 +25,6 @@ from repro.tune.calibration import (
     resolve_min_draws_per_worker,
     save_calibration,
 )
-from repro.tune.controller import DelayController
 from repro.tune.predictor import (
     RuntimeDistribution,
     optimal_sharded_workers,
@@ -50,7 +46,6 @@ __all__ = [
     "save_calibration",
     "resolve_min_draws_per_worker",
     "calibrate",
-    "DelayController",
     "luby_sequence",
     "optimal_cutoff",
     "restart_schedule",

@@ -1,11 +1,11 @@
 """Per-host calibration cache: probe once, tune everywhere.
 
-The autotuner's cost constants — process spawn overhead, per-draw kernel
-cost, the micro-batch kernel's affine model, captured runtime
-distributions — are properties of the *host*, not of any one process.
-They are measured by the short probes in :mod:`repro.tune.probes` and
-persisted here so every later ``suggest_workers`` / ``BatchConfig``
-decision is a dictionary lookup, not a measurement.
+The tuner's cost constants — process spawn overhead, per-draw kernel
+cost, captured runtime distributions — are properties of the *host*,
+not of any one process.  They are measured by the short probes in
+:mod:`repro.tune.probes` and persisted here so every later
+``suggest_workers`` decision is a dictionary lookup, not a
+measurement.
 
 Cache discipline is the one proven in :mod:`repro.lab.store`: a record
 is written to a temp file and published by atomic ``os.rename``, so
@@ -82,11 +82,8 @@ class HostCalibration:
     spawn_overhead_s: float = 0.0
     #: Compiled-kernel cost of one draw, seconds (throughput path).
     draw_s: float = 0.0
-    #: Micro-batch kernel affine model: flush cost = base + per_draw * draws.
-    batch_base_s: float = 0.0
-    batch_per_draw_s: float = 0.0
     #: Captured runtime distributions by name (race rounds, restart
-    #: times, batch flushes, ...), as :meth:`RuntimeSample.state` dicts.
+    #: times, ...), as :meth:`RuntimeSample.state` dicts.
     samples: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: Unix time the probes ran.
     created: float = 0.0
@@ -124,8 +121,6 @@ class HostCalibration:
             "cpu_count": self.cpu_count,
             "spawn_overhead_s": self.spawn_overhead_s,
             "draw_s": self.draw_s,
-            "batch_base_s": self.batch_base_s,
-            "batch_per_draw_s": self.batch_per_draw_s,
             "min_draws_per_worker": self.min_draws_per_worker(),
             "samples": self.samples,
             "created": self.created,
@@ -144,8 +139,6 @@ class HostCalibration:
             cpu_count=int(record.get("cpu_count", 1)),
             spawn_overhead_s=float(record.get("spawn_overhead_s", 0.0)),
             draw_s=float(record.get("draw_s", 0.0)),
-            batch_base_s=float(record.get("batch_base_s", 0.0)),
-            batch_per_draw_s=float(record.get("batch_per_draw_s", 0.0)),
             samples=dict(record.get("samples", {})),
             created=float(record.get("created", 0.0)),
         )

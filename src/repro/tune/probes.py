@@ -18,20 +18,18 @@ import os
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, Sequence, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
 from repro.tune.calibration import HostCalibration
 from repro.tune.sample import RuntimeSample
-from repro.tune.timers import measure, timed
+from repro.tune.timers import measure
 
 __all__ = [
     "probe_spawn_overhead",
     "probe_draw_cost",
-    "probe_batch_kernel",
     "probe_race_rounds",
-    "probe_service_flushes",
     "calibrate",
 ]
 
@@ -82,54 +80,6 @@ def probe_draw_cost(
     return result.best / draws, sample
 
 
-def probe_batch_kernel(
-    n: int = 1024,
-    *,
-    method: str = "log_bidding",
-    n_draws: int = 8,
-    batch_sizes: Sequence[int] = (1, 8, 64),
-    seed: int = 0,
-    repeats: int = 3,
-) -> Tuple[float, float, RuntimeSample]:
-    """Affine cost model of one micro-batch flush: ``base + per_draw * draws``.
-
-    Times :meth:`repro.engine.CompiledWheel.select_segments` at several
-    coalesced batch sizes (each request drawing ``n_draws``), then
-    least-squares fits flush seconds against total draws.  ``base`` is
-    the per-flush overhead that batching amortises; ``per_draw`` is the
-    marginal kernel cost.  Returns ``(base_s, per_draw_s, sample)``
-    where ``sample`` captures every measured flush time (unit ``"s"``)
-    — the service-batch runtime distribution of the calibration cache.
-    """
-    from repro.engine.compiled import CompiledWheel
-    from repro.rng.streams import SplitMixStream, derive_seeds
-
-    values = 1.0 - np.random.default_rng(seed).random(n)
-    wheel = CompiledWheel(values, method, kernel="auto")
-    sample = RuntimeSample(unit="s")
-    points = []  # (total_draws, best_flush_s)
-    for batch in batch_sizes:
-        batch = int(batch)
-        if batch < 1:
-            raise ValueError(f"batch sizes must be >= 1, got {batch}")
-        seeds = derive_seeds(seed, list(range(batch)), 0xBA7C4)
-        result = measure(
-            lambda s=seeds: wheel.select_segments(
-                [(n_draws, SplitMixStream(int(x))) for x in s]
-            ),
-            repeats=repeats,
-        )
-        sample.record_many(result.samples)
-        points.append((batch * n_draws, result.best))
-    xs = np.array([p[0] for p in points], dtype=np.float64)
-    ys = np.array([p[1] for p in points], dtype=np.float64)
-    design = np.stack([np.ones_like(xs), xs], axis=1)
-    (base_s, per_draw_s), *_ = np.linalg.lstsq(design, ys, rcond=None)
-    # Noise can drive either coefficient slightly negative; the model is
-    # a cost, so clamp at zero rather than predict negative time.
-    return max(0.0, float(base_s)), max(0.0, float(per_draw_s)), sample
-
-
 def probe_race_rounds(
     k: int = 64, trials: int = 20_000, *, seed: int = 0
 ) -> RuntimeSample:
@@ -146,40 +96,6 @@ def probe_race_rounds(
     return RuntimeSample(unit="rounds", values=rounds.astype(np.float64))
 
 
-def probe_service_flushes(
-    n: int = 1024,
-    *,
-    method: str = "log_bidding",
-    n_draws: int = 8,
-    flushes: int = 64,
-    batch: int = 16,
-    seed: int = 0,
-) -> RuntimeSample:
-    """Wall-time distribution of ``flushes`` micro-batch kernel passes.
-
-    Unlike :func:`probe_batch_kernel` (which fits the affine model from
-    a few repeated points), this captures the *distribution* of flush
-    times at one operating point — the service-batch runtime sample the
-    tentpole stores in the calibration cache.
-    """
-    from repro.engine.compiled import CompiledWheel
-    from repro.rng.streams import SplitMixStream, derive_seeds
-
-    values = 1.0 - np.random.default_rng(seed).random(n)
-    wheel = CompiledWheel(values, method, kernel="auto")
-    sample = RuntimeSample(unit="s")
-    for f in range(flushes):
-        seeds = derive_seeds(seed, list(range(batch)), 0xF1054 + f)
-        sample.record(
-            timed(
-                lambda s=seeds: wheel.select_segments(
-                    [(n_draws, SplitMixStream(int(x))) for x in s]
-                )
-            )
-        )
-    return sample
-
-
 def calibrate(
     *,
     seed: int = 0,
@@ -188,14 +104,11 @@ def calibrate(
     method: str = "log_bidding",
     race_k: int = 64,
     race_trials: int = 20_000,
-    include_spawn: bool = True,
 ) -> Tuple[HostCalibration, Dict[str, Any]]:
     """Run the standard probe set; returns ``(calibration, probe_costs)``.
 
-    ``probe_costs`` maps probe name to wall seconds spent — the ledger
-    the bench's <= 5%-of-sweep budget gate audits.  ``include_spawn``
-    exists because the spawn probe is the expensive one (~3 pool
-    startups); callers that only need the batch model can skip it.
+    ``probe_costs`` maps probe name to wall seconds spent (plus their
+    ``total``), recorded in the bench's calibration section.
     """
     cal = HostCalibration(
         host=platform.node() or "localhost",
@@ -205,8 +118,7 @@ def calibrate(
     costs: Dict[str, Any] = {}
 
     start = time.perf_counter()
-    if include_spawn:
-        cal.spawn_overhead_s = probe_spawn_overhead()
+    cal.spawn_overhead_s = probe_spawn_overhead()
     costs["spawn"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -216,15 +128,6 @@ def calibrate(
     cal.draw_s = draw_s
     cal.put_sample("engine_draw_batches", draw_sample)
     costs["draw"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    base_s, per_draw_s, flush_sample = probe_batch_kernel(
-        n=n, method=method, seed=seed
-    )
-    cal.batch_base_s = base_s
-    cal.batch_per_draw_s = per_draw_s
-    cal.put_sample("service_batch_flushes", flush_sample)
-    costs["batch"] = time.perf_counter() - start
 
     start = time.perf_counter()
     cal.put_sample("race_rounds", probe_race_rounds(race_k, race_trials, seed=seed))

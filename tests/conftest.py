@@ -102,8 +102,6 @@ def tune_record(tmp_path_factory):
         trials=3,
         race_trials=2,
         wheel_n=128,
-        clients=4,
-        requests_per_client=8,
         race_trials_probe=4000,
         calibration_out=str(out),
     )

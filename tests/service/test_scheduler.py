@@ -1,6 +1,7 @@
 """Micro-batch scheduler: coalescing, determinism, backpressure."""
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -88,21 +89,60 @@ class TestCoalescing:
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 
+    def test_zero_delay_flushes_immediately_without_busy_wait(self):
+        reg, wid = _registry()
+        sched = MicroBatchScheduler(
+            reg, BatchConfig(max_batch=64, max_delay_us=0.0), seed=0
+        )
+
+        async def run():
+            start = time.perf_counter()
+            out = await sched.draw(wid, 5, seed=0)
+            return out, time.perf_counter() - start
+
+        out, elapsed = asyncio.run(run())
+        assert len(out) == 5
+        # An immediate flush is event-loop-tick fast; a busy-wait or a
+        # stuck timer would blow far past this generous bound.
+        assert elapsed < 1.0
+        assert sched.metrics.batch_sizes.snapshot()["batches"] == 1
+
+
+class TestBatchConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_batch": 0},
+            {"max_delay_us": -1.0},
+            {"max_delay_us": float("nan")},
+            {"max_delay_us": float("inf")},
+            {"queue_limit": 0},
+            {"max_request_draws": 0},
+        ],
+    )
+    def test_rejects_bad_values(self, kwargs):
+        with pytest.raises(ValueError):
+            BatchConfig(**kwargs)
+
 
 class TestBackpressure:
-    def test_admission_control_sheds(self):
+    @pytest.mark.parametrize(
+        "config, requests",
+        [
+            (BatchConfig(max_batch=256, max_delay_us=50_000.0, queue_limit=4), 32),
+            (BatchConfig(max_batch=8, max_delay_us=100.0, queue_limit=1), 16),
+        ],
+        ids=["queue_limit=4", "queue_limit=1"],
+    )
+    def test_admission_control_sheds(self, config, requests):
         reg, wid = _registry()
         metrics = ServiceMetrics()
-        sched = MicroBatchScheduler(
-            reg,
-            BatchConfig(max_batch=256, max_delay_us=50_000.0, queue_limit=4),
-            seed=0,
-            metrics=metrics,
-        )
+        sched = MicroBatchScheduler(reg, config, seed=0, metrics=metrics)
 
         async def burst():
             results = await asyncio.gather(
-                *(sched.draw(wid, 2) for _ in range(32)), return_exceptions=True
+                *(sched.draw(wid, 2) for _ in range(requests)),
+                return_exceptions=True,
             )
             await sched.close()
             return results
@@ -110,7 +150,7 @@ class TestBackpressure:
         results = asyncio.run(burst())
         shed = [r for r in results if isinstance(r, ServiceOverloadedError)]
         served = [r for r in results if isinstance(r, np.ndarray)]
-        assert len(shed) + len(served) == 32
+        assert len(shed) + len(served) == requests
         assert shed and served
         assert metrics.shed_total == len(shed)
         assert metrics.ok_total == len(served)
