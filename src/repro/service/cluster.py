@@ -1,10 +1,12 @@
-"""Sharded multi-core serving cluster: process-pool kernel executors.
+"""Sharded multi-core serving cluster: one front end, N selection services.
 
-One asyncio front end, N worker processes.  Each worker runs the PR 5
-kernel executor — a private :class:`~repro.service.registry.WheelRegistry`
-plus :class:`~repro.service.scheduler.MicroBatchScheduler` on its own
-event loop — so draws for a wheel batch densely on the core that owns
-it while the front end only routes, frames, and correlates.
+One asyncio front end, N worker processes.  Each worker runs a
+:class:`~repro.service.server.SelectionService` (its own registry and
+micro-batching scheduler) on its own event loop, so draws for a wheel
+batch densely on the core that owns it.  The front end only routes,
+stamps auto-seeds and correlates: it forwards each request dict to the
+owning shard and returns the shard's response dict, so a cluster answers
+every request — errors included — exactly as one process does.
 
 The three structural pieces:
 
@@ -40,23 +42,12 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
 from repro.errors import ServiceDrainingError, ServiceError
 from repro.service.metrics import ServiceMetrics
-from repro.service.protocol import (
-    PROTOCOL_VERSION,
-    STRUCTURED_ERRORS,
-    error_response,
-    ok_response,
-)
-from repro.service.registry import (
-    DEFAULT_MAX_WHEELS,
-    WheelRegistry,
-    base_id,
-    wheel_digest,
-)
-from repro.service.scheduler import BatchConfig, MicroBatchScheduler
+from repro.service.protocol import PROTOCOL_VERSION, error_response, ok_response
+from repro.service.registry import DEFAULT_MAX_WHEELS, base_id, wheel_digest, wheel_tokens
+from repro.service.scheduler import BatchConfig
+from repro.service.server import SelectionService
 from repro.service.shm import SharedWheelStore
 
 __all__ = ["HashRing", "ClusterService", "DEFAULT_VNODES"]
@@ -104,20 +95,13 @@ class HashRing:
 # ----------------------------------------------------------------------
 
 
-def _worker_main(
-    conn,
-    shard_id: int,
-    seed: int,
-    config: Optional[BatchConfig],
-    max_wheels: int,
-    policy: str,
-    store_path: Optional[str],
-) -> None:
-    """Entry point of one shard process (must stay importable for spawn)."""
+def _worker_main(conn, *args: Any) -> None:
+    """Entry point of one shard process (must stay importable for spawn).
+
+    ``args`` are :func:`_worker_loop`'s after the pipe.
+    """
     try:
-        asyncio.run(
-            _worker_loop(conn, shard_id, seed, config, max_wheels, policy, store_path)
-        )
+        asyncio.run(_worker_loop(conn, *args))
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         pass
     finally:
@@ -136,18 +120,19 @@ async def _worker_loop(
     policy: str,
     store_path: Optional[str],
 ) -> None:
-    """Receive commands, serve them through the shard's own scheduler.
+    """Answer forwarded requests through the shard's own :class:`SelectionService`.
 
-    Concurrency model: a pump thread blocks on the pipe and hands each
-    command to the event loop, where it becomes a task awaiting
-    ``scheduler.draw`` — so commands arriving back-to-back coalesce in
-    the shard's micro-batcher exactly as concurrent TCP clients do in a
-    single-process service.
+    The pipe carries ``(tag, request dict)`` in and ``(tag, response
+    dict)`` out; a ``None`` request asks the shard to stop.  A pump
+    thread blocks on the pipe and hands each message to the event loop,
+    where it becomes a task awaiting ``handle_request`` — so draws
+    arriving back-to-back coalesce in the shard's micro-batcher exactly
+    as concurrent TCP clients do in a single-process service.
     """
     store = SharedWheelStore(path=store_path) if store_path else None
-    metrics = ServiceMetrics()
-    registry = WheelRegistry(max_wheels=max_wheels, policy=policy, store=store)
-    scheduler = MicroBatchScheduler(registry, config, seed=seed, metrics=metrics)
+    service = SelectionService(
+        seed=seed, config=config, max_wheels=max_wheels, policy=policy, store=store
+    )
     loop = asyncio.get_running_loop()
     inbox: "asyncio.Queue" = asyncio.Queue()
 
@@ -161,63 +146,34 @@ async def _worker_loop(
                 loop.call_soon_threadsafe(inbox.put_nowait, msg)
             except RuntimeError:  # pragma: no cover - loop already gone
                 return
-            if msg is None or msg[0] == "stop":
+            if msg is None or msg[1] is None:
                 return
 
     threading.Thread(target=pump, name=f"shard{shard_id}-pump", daemon=True).start()
 
     tasks: set = set()
 
-    async def serve_one(msg) -> None:
-        op, tag = msg[0], msg[1]
-        try:
-            if op == "draw":
-                _, _, wheel_id, n, req_seed, deadline_us = msg
-                draws = await scheduler.draw(
-                    wheel_id, n, seed=req_seed, deadline_us=deadline_us
-                )
-                conn.send(("ok", tag, draws))
-            elif op == "register":
-                _, _, values, method, reg_policy, backend = msg
-                wheel_id, cached = registry.register(
-                    values, method=method, policy=reg_policy, backend=backend
-                )
-                conn.send(("ok", tag, {"wheel": wheel_id, "cached": cached}))
-            elif op == "update":
-                _, _, wheel_id, indices, values = msg
-                new_id, info = await scheduler.update(wheel_id, indices, values)
-                conn.send(("ok", tag, {"wheel": new_id, **info}))
-            elif op == "stats":
-                snapshot = metrics.snapshot(
-                    extra={
-                        "shard": shard_id,
-                        "queued": scheduler.queued,
-                        "registry": registry.stats(),
-                    }
-                )
-                conn.send(("ok", tag, snapshot))
-            else:
-                conn.send(("err", tag, "ProtocolError", f"unknown worker op {op!r}"))
-        except BaseException as exc:  # noqa: BLE001 - answered, not raised
-            conn.send(("err", tag, type(exc).__name__, str(exc)))
+    async def serve_one(tag: int, request: Dict[str, Any]) -> None:
+        conn.send((tag, await service.handle_request(request)))
 
     while True:
         msg = await inbox.get()
         if msg is None:
             break
-        if msg[0] == "stop":
+        tag, request = msg
+        if request is None:
             # Flush in-flight micro-batches, let their reply tasks run,
             # then acknowledge — the parent holds the drain barrier on
             # this ack, which is what makes shutdown lossless.
-            await scheduler.close()
+            await service.close()
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
             try:
-                conn.send(("ok", msg[1], {"shard": shard_id}))
+                conn.send((tag, ok_response()))
             except (BrokenPipeError, OSError):  # pragma: no cover
                 pass
             break
-        task = loop.create_task(serve_one(msg))
+        task = loop.create_task(serve_one(tag, request))
         tasks.add(task)
         task.add_done_callback(tasks.discard)
     if store is not None:
@@ -232,7 +188,7 @@ async def _worker_loop(
 class _Shard:
     """Parent-side handle on one worker: pipe, process, in-flight map."""
 
-    __slots__ = ("index", "conn", "proc", "outstanding", "routed", "reader")
+    __slots__ = ("index", "conn", "proc", "outstanding", "routed", "reader", "lost")
 
     def __init__(self, index: int, conn, proc) -> None:
         self.index = index
@@ -241,6 +197,10 @@ class _Shard:
         self.outstanding: Dict[int, "asyncio.Future"] = {}
         self.routed = 0
         self.reader: Optional[threading.Thread] = None
+        self.lost = False
+
+    def lost_error(self) -> ServiceError:
+        return ServiceError(f"shard {self.index} exited; its wheels cannot be served")
 
 
 class ClusterService:
@@ -248,9 +208,12 @@ class ClusterService:
 
     Exposes the same transport-neutral ``handle_request`` surface, so
     every transport (binary frames, JSON-lines TCP, stdio) works over a
-    cluster unchanged.  Construct it *before* any event loop is running
-    (workers are forked/spawned in ``__init__``); the reader threads
-    attach lazily to the loop of the first served request.
+    cluster unchanged.  Every request that needs a wheel is forwarded to
+    the owning shard's :class:`SelectionService` and its response comes
+    back as that service wrote it, so answers — errors included — are
+    the single-process ones.  Construct it *before* any event loop is
+    running (workers are forked/spawned in ``__init__``); the reader
+    threads attach lazily to the loop of the first served request.
 
     Parameters
     ----------
@@ -261,7 +224,8 @@ class ClusterService:
         Service master seed, passed verbatim to every shard — the reason
         any pool size answers identically.
     config / max_wheels / policy:
-        Per-shard scheduler and registry knobs (as in PR 5).
+        Per-shard scheduler and registry knobs, as for
+        :class:`SelectionService`.
     vnodes:
         Virtual nodes per shard on the routing ring.
     start_method:
@@ -304,15 +268,8 @@ class ClusterService:
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
                 proc = ctx.Process(
                     target=_worker_main,
-                    args=(
-                        child_conn,
-                        index,
-                        self.seed,
-                        self.config,
-                        max_wheels,
-                        self.policy,
-                        self.store.path,
-                    ),
+                    args=(child_conn, index, self.seed, self.config, max_wheels,
+                          self.policy, self.store.path),
                     name=f"repro-shard-{index}",
                     daemon=True,
                 )
@@ -347,51 +304,80 @@ class ClusterService:
     def _read_replies(self, shard: _Shard, loop) -> None:
         while True:
             try:
-                msg = shard.conn.recv()
+                tag, response = shard.conn.recv()
             except (EOFError, OSError):
                 break
             try:
-                loop.call_soon_threadsafe(self._resolve, shard, msg)
+                loop.call_soon_threadsafe(self._resolve, shard, tag, response)
             except RuntimeError:  # pragma: no cover - loop closed at exit
-                break
+                return
+        try:
+            loop.call_soon_threadsafe(self._lose, shard)
+        except RuntimeError:  # pragma: no cover - loop closed at exit
+            pass
 
-    def _resolve(self, shard: _Shard, msg) -> None:
-        kind, tag = msg[0], msg[1]
+    def _resolve(self, shard: _Shard, tag: int, response: Dict[str, Any]) -> None:
         future = shard.outstanding.pop(tag, None)
-        if future is None or future.done():  # pragma: no cover - late reply
-            return
-        if kind == "ok":
-            future.set_result(msg[2])
-        else:
-            name, message = msg[2], msg[3]
-            exc_type = STRUCTURED_ERRORS.get(name, ServiceError)
-            future.set_exception(exc_type(message))
+        if future is not None and not future.done():
+            future.set_result(response)
 
-    async def _call(self, shard: _Shard, op: str, *payload: Any) -> Any:
+    def _lose(self, shard: _Shard) -> None:
+        """The shard's pipe reached EOF: fail what it still owed."""
+        shard.lost = True
+        for future in shard.outstanding.values():
+            if not future.done():
+                future.set_exception(shard.lost_error())
+        shard.outstanding.clear()
+
+    async def _call(self, shard: _Shard, request: Optional[Dict[str, Any]]) -> Dict[str, Any]:
         self._ensure_started()
+        if shard.lost:
+            raise shard.lost_error()
         self._tag += 1
         tag = self._tag
         future = asyncio.get_running_loop().create_future()
         shard.outstanding[tag] = future
         try:
-            shard.conn.send((op, tag, *payload))
-        except BaseException:
-            shard.outstanding.pop(tag, None)
+            shard.conn.send((tag, request))
+        except BaseException as exc:
+            del shard.outstanding[tag]
+            if isinstance(exc, OSError):  # the shard's end is gone
+                raise shard.lost_error() from exc
             raise
         return await future
 
-    def _shard_for(self, wheel_id: str) -> _Shard:
-        # Route by the *root* id: every version of a wheel (its delta
-        # chain) lives on the shard that owns the root, so an UPDATE and
-        # the draws against the id it mints coalesce on one worker.
-        shard = self._shards[self.ring.lookup(base_id(wheel_id))]
+    def _shard_for(self, request: Dict[str, Any]) -> _Shard:
+        """The shard owning the request's wheel.
+
+        ``register`` routes by the content id the shard's registry will
+        derive from the same :func:`wheel_tokens`; ``update`` and
+        ``draw`` route by the *root* id, so every version of a wheel
+        (its delta chain) lives on the shard that owns the root and an
+        UPDATE coalesces with the draws against the id it mints.  A
+        request whose key cannot be derived fails alike on every shard;
+        shard 0 answers it.
+        """
+        try:
+            if request["op"] == "register":
+                policy = request.get("policy")
+                method, policy, _ = wheel_tokens(
+                    request.get("method", "log_bidding"),
+                    self.policy if policy is None else policy,
+                    request.get("backend"),
+                )
+                key = wheel_digest(request["fitness"], method, policy)
+            else:
+                key = base_id(request["wheel"])
+            shard = self._shards[self.ring.lookup(key)]
+        except (KeyError, TypeError, ValueError, AttributeError):
+            shard = self._shards[0]
         shard.routed += 1
         return shard
 
     # ------------------------------------------------------------------
-    @property
-    def draining(self) -> bool:
-        return self._draining
+    # One front-end state and one line decoder for both services.
+    draining = SelectionService.draining
+    handle_line = SelectionService.handle_line
 
     async def handle_request(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Serve one decoded request dict.  Never raises."""
@@ -411,79 +397,37 @@ class ClusterService:
                 raise ServiceDrainingError(
                     "service is draining; retry against another replica"
                 )
-            if op == "register":
-                return await self._register(request, request_id)
-            if op == "update":
-                return await self._update(request, request_id)
-            # op == "draw" (decode_request admits nothing else)
-            return await self._draw(request, request_id)
+            if op not in ("register", "update"):
+                # op == "draw" (decode_request admits nothing else)
+                return await self._draw(request)
+            start = time.monotonic()
+            response = await self._call(self._shard_for(request), request)
+            if op == "update" and response["status"] == "ok":
+                self.metrics.updated(len(request["indices"]), time.monotonic() - start)
+            return response
         except Exception as exc:  # noqa: BLE001 - answered, not raised
             return error_response(exc, request_id)
 
-    async def handle_line(self, line: str) -> Dict[str, Any]:
-        """Decode, dispatch, and answer one JSON wire line.  Never raises."""
-        from repro.service.protocol import decode_request
-
-        try:
-            request = decode_request(line)
-        except Exception as exc:  # noqa: BLE001 - answered, not raised
-            return error_response(exc)
-        return await self.handle_request(request)
-
-    async def _register(self, request: Dict[str, Any], request_id) -> Dict[str, Any]:
-        method = request.get("method", "log_bidding")
-        policy = request.get("policy") or self.policy
-        backend = request.get("backend") or "compiled"
-        values = np.ascontiguousarray(
-            np.asarray(request["fitness"], dtype=np.float64)
-        )
-        # The content address is computed front-side purely to *route*;
-        # the owning worker re-derives it inside its registry (ids are
-        # position-free, so both derivations agree by construction).
-        # The acceptance backend pins its method/policy tokens, so the
-        # routing digest must mirror the registry's pinning exactly.
-        if backend == "stochastic_acceptance" and method != "independent":
-            wheel_id = wheel_digest(values, "stochastic_acceptance", "sa")
-        else:
-            wheel_id = wheel_digest(values, method, policy)
-        shard = self._shard_for(wheel_id)
-        reply = await self._call(shard, "register", values, method, policy, backend)
-        return ok_response(request_id, **reply)
-
-    async def _update(self, request: Dict[str, Any], request_id) -> Dict[str, Any]:
-        wheel_id = request["wheel"]
-        indices = np.ascontiguousarray(np.asarray(request["indices"], dtype=np.int64))
-        values = np.ascontiguousarray(np.asarray(request["values"], dtype=np.float64))
-        shard = self._shard_for(wheel_id)
-        start = time.monotonic()
-        reply = await self._call(shard, "update", wheel_id, indices, values)
-        self.metrics.updated(int(indices.size), time.monotonic() - start)
-        return ok_response(request_id, **reply)
-
-    async def _draw(self, request: Dict[str, Any], request_id) -> Dict[str, Any]:
-        wheel_id = request["wheel"]
-        n = int(request.get("n", 1))
-        seed = request.get("seed")
-        if seed is None:
+    async def _draw(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        if request.get("seed") is None:
             # Auto-seeds are assigned centrally (front-end arrival
             # order), never per worker — so the draw stream for a fixed
             # arrival order is independent of the pool size.
-            seed = self._request_counter
+            request = {**request, "seed": self._request_counter}
             self._request_counter += 1
-        shard = self._shard_for(wheel_id)
+        shard = self._shard_for(request)
         start = time.monotonic()
-        self.metrics.enqueued(n)
+        self.metrics.enqueued(int(request.get("n", 1)))
         try:
-            draws = await self._call(
-                shard, "draw", wheel_id, n, int(seed), request.get("deadline_us")
-            )
-        except Exception:
-            self.metrics.dequeued()
-            self.metrics.errored()
-            raise
+            response = await self._call(shard, request)
+        except Exception as exc:  # noqa: BLE001 - answered, not raised
+            response = error_response(exc, request.get("id"))
         self.metrics.dequeued()
-        self.metrics.served(time.monotonic() - start)
-        return ok_response(request_id, draws=draws)
+        if response["status"] == "ok":
+            self.metrics.served(time.monotonic() - start)
+        else:
+            self.metrics.errored()
+        return response
 
     # ------------------------------------------------------------------
     async def _metrics(self) -> Dict[str, Any]:
@@ -499,11 +443,14 @@ class ClusterService:
     async def _shard_stats(self) -> List[Dict[str, Any]]:
         if self._closed:
             return []
-        return list(
-            await asyncio.gather(
-                *(self._call(shard, "stats") for shard in self._shards)
-            )
+        replies = await asyncio.gather(
+            *(self._call(shard, {"op": "stats"}) for shard in self._shards)
         )
+        # Each shard's service reports itself as the one shard of a pool.
+        return [
+            {**reply["stats"]["shards"][0], "shard": shard.index}
+            for shard, reply in zip(self._shards, replies)
+        ]
 
     async def stats(self) -> Dict[str, Any]:
         """The ``stats`` RPC: routing table view plus per-shard counters.
@@ -532,20 +479,17 @@ class ClusterService:
         if self._draining:
             return
         self._draining = True
-        pending = [
-            future
-            for shard in self._shards
-            for future in shard.outstanding.values()
-        ]
+        pending = [f for shard in self._shards for f in shard.outstanding.values()]
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
         for shard in self._shards:
             try:
-                await asyncio.wait_for(self._call(shard, "stop"), timeout=10.0)
-            except Exception:  # pragma: no cover - worker died mid-drain
+                await asyncio.wait_for(self._call(shard, None), timeout=10.0)
+            except Exception:  # the shard is lost or stuck; reaped below
                 pass
         self._closed = True
-        self._join()
+        for shard in self._shards:
+            shard.proc.join(timeout=5.0)
         self.store.close()
 
     async def close(self) -> None:
@@ -553,10 +497,6 @@ class ClusterService:
         if not self._closed:
             await self.drain()
         self._terminate()
-
-    def _join(self, timeout: float = 5.0) -> None:
-        for shard in self._shards:
-            shard.proc.join(timeout=timeout)
 
     def _terminate(self) -> None:
         self._closed = True

@@ -147,16 +147,33 @@ def decode_request(line: str) -> Dict[str, Any]:
                 f"update 'indices' and 'values' must match, "
                 f"got {len(indices)} vs {len(values)}"
             )
+        if not all(_is_int(i) for i in indices):
+            raise ProtocolError(f"update 'indices' must be integers, got {indices!r}")
+        if not all(_is_number(v) for v in values):
+            raise ProtocolError(f"update 'values' must be numbers, got {values!r}")
     elif op == "draw":
         if not isinstance(request.get("wheel"), str):
             raise ProtocolError("draw requires a string 'wheel' id")
         n = request.get("n", 1)
-        if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
+        if not _is_int(n) or n <= 0:
             raise ProtocolError(f"draw 'n' must be a positive integer, got {n!r}")
         seed = request.get("seed")
-        if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+        if seed is not None and not _is_int(seed):
             raise ProtocolError(f"draw 'seed' must be an integer, got {seed!r}")
+        deadline_us = request.get("deadline_us")
+        if deadline_us is not None and not _is_number(deadline_us):
+            raise ProtocolError(
+                f"draw 'deadline_us' must be a number, got {deadline_us!r}"
+            )
     return request
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _json_default(value: Any):

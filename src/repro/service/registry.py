@@ -62,6 +62,7 @@ __all__ = [
     "digest_key",
     "base_id",
     "version_id",
+    "wheel_tokens",
     "WheelRegistry",
     "DEFAULT_MAX_WHEELS",
     "BACKENDS",
@@ -145,6 +146,29 @@ def version_id(parent_id: str, indices: np.ndarray, values: np.ndarray) -> str:
     h.update(idx.tobytes())
     h.update(vals.tobytes())
     return f"{base_id(parent_id)}@{h.hexdigest()[:16]}"
+
+
+def wheel_tokens(
+    method: str, policy: str, backend: Optional[str] = None
+) -> Tuple[str, str, str]:
+    """The ``(method, policy, backend)`` a registration is addressed under.
+
+    Pins the acceptance backend to method ``stochastic_acceptance`` and
+    digest token ``"sa"`` (no kernel), so its wheels never alias compiled
+    ones.  Cluster routing and :meth:`WheelRegistry.register` share it.
+    """
+    backend = "compiled" if backend is None else str(backend)
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
+    if backend == "stochastic_acceptance":
+        if method == "independent":
+            raise ValueError(
+                "the stochastic_acceptance backend serves the exact "
+                "distribution; the independent baseline's bias cannot "
+                "ride on it"
+            )
+        return "stochastic_acceptance", "sa", backend
+    return method, str(policy), backend
 
 
 class _Entry:
@@ -261,21 +285,9 @@ class WheelRegistry:
         (the bit-contract is the Lipowski & Lipowska propose/accept
         loop; every exact method's distribution is the same ``F_i``).
         """
-        policy = self.policy if policy is None else str(policy)
-        backend = "compiled" if backend is None else str(backend)
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-        if backend == "stochastic_acceptance":
-            if method == "independent":
-                raise ValueError(
-                    "the stochastic_acceptance backend serves the exact "
-                    "distribution; the independent baseline's bias cannot "
-                    "ride on it"
-                )
-            method = "stochastic_acceptance"
-            # The rejection sampler has no kernel; "sa" is its digest
-            # token so acceptance wheels never alias compiled ones.
-            policy = "sa"
+        method, policy, backend = wheel_tokens(
+            method, self.policy if policy is None else policy, backend
+        )
         fitness = fitness if isinstance(fitness, FitnessVector) else FitnessVector(fitness)
         wheel_id = wheel_digest(fitness.values, method, policy)
         with self._lock:

@@ -165,6 +165,9 @@ class MicroBatchScheduler:
 
         Raises
         ------
+        ValueError
+            ``n`` out of range, or ``seed`` outside ``[0, 2**64)``
+            (raised before queueing).
         UnknownWheelError
             Unknown/evicted ``wheel_id`` (raised before queueing).
         ServiceOverloadedError
@@ -187,6 +190,12 @@ class MicroBatchScheduler:
                 f"draw size {n} exceeds max_request_draws="
                 f"{self.config.max_request_draws}; split the request"
             )
+        if seed is not None:
+            # Checked here, not at flush: a bad seed must not fail the
+            # requests it would have coalesced with.
+            seed = int(seed)
+            if not 0 <= seed < 1 << 64:
+                raise ValueError(f"draw seed must lie in [0, 2**64), got {seed}")
         self.registry.get(wheel_id)  # raise UnknownWheelError pre-admission
         if self._queued_requests >= self.config.queue_limit:
             self.metrics.shed()
@@ -199,7 +208,7 @@ class MicroBatchScheduler:
         now = time.monotonic()
         req = _Pending(
             n=n,
-            seed=int(seed),
+            seed=seed,
             future=asyncio.get_running_loop().create_future(),
             enqueued_at=now,
             deadline=None if deadline_us is None else now + deadline_us * 1e-6,

@@ -57,6 +57,9 @@ class SelectionService:
         Scheduler knobs; defaults are the ``bench serve`` tuning.
     max_wheels / policy:
         Registry capacity and default kernel policy.
+    store:
+        Optional :class:`~repro.service.shm.SharedWheelStore` the
+        registry dedupes compilation through (a cluster shard's store).
     """
 
     def __init__(
@@ -66,9 +69,10 @@ class SelectionService:
         config: Optional[BatchConfig] = None,
         max_wheels: int = DEFAULT_MAX_WHEELS,
         policy: str = "auto",
+        store=None,
     ) -> None:
         self.metrics = ServiceMetrics()
-        self.registry = WheelRegistry(max_wheels=max_wheels, policy=policy)
+        self.registry = WheelRegistry(max_wheels=max_wheels, policy=policy, store=store)
         self.scheduler = MicroBatchScheduler(
             self.registry, config, seed=seed, metrics=self.metrics
         )

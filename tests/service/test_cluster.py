@@ -1,6 +1,8 @@
 """Sharded cluster: routing stability, dedupe, determinism, drain."""
 
 import asyncio
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -8,6 +10,24 @@ import pytest
 from repro.rng.streams import request_stream
 from repro.service.cluster import DEFAULT_VNODES, ClusterService, HashRing
 from repro.service.registry import WheelRegistry, digest_key, wheel_digest
+from repro.service.server import SelectionService
+
+#: Stands for the id of the wheel registered before the edge requests.
+WHEEL = object()
+
+EDGE_REQUESTS = {
+    "unknown_method": {"op": "register", "fitness": [1.0, 2.0], "method": "nope"},
+    "bad_backend": {"op": "register", "fitness": [1.0, 2.0], "backend": "gpu"},
+    "unknown_wheel": {"op": "draw", "wheel": "w1:" + "f" * 64, "n": 1},
+    "malformed_wheel_id": {"op": "draw", "wheel": "garbage", "n": 1},
+    "negative_seed": {"op": "draw", "wheel": WHEEL, "n": 1, "seed": -1},
+    "update_index_out_of_range": {
+        "op": "update", "wheel": WHEEL, "indices": [99], "values": [1.0],
+    },
+    "degenerate_update": {
+        "op": "update", "wheel": WHEEL, "indices": [0, 1, 2], "values": [0.0] * 3,
+    },
+}
 
 
 def _ids(count):
@@ -56,6 +76,38 @@ class TestHashRing:
             HashRing(0)
         with pytest.raises(ValueError):
             HashRing(2, vnodes=0)
+
+
+@pytest.fixture(scope="module")
+def edge_answers():
+    """Each service's full responses to ``EDGE_REQUESTS``, by service."""
+
+    async def answer(service):
+        reg = await service.handle_request({"op": "register", "fitness": [1.0, 2.0, 3.0]})
+        out = {}
+        for i, (name, request) in enumerate(EDGE_REQUESTS.items()):
+            request = {k: reg["wheel"] if v is WHEEL else v for k, v in request.items()}
+            out[name] = await service.handle_request({**request, "id": i})
+        await service.close()
+        return out
+
+    return {
+        label: asyncio.run(asyncio.wait_for(answer(make()), 60.0))
+        for label, make in (
+            ("single", lambda: SelectionService(seed=3)),
+            ("cluster1", lambda: ClusterService(workers=1, seed=3)),
+            ("cluster2", lambda: ClusterService(workers=2, seed=3)),
+        )
+    }
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_REQUESTS))
+def test_cluster_answers_equal_single_process_answers(edge_answers, case):
+    """Errors cross the shard hop unchanged: same status, class, message."""
+    single = edge_answers["single"][case]
+    assert single["status"] == "error"
+    assert edge_answers["cluster1"][case] == single
+    assert edge_answers["cluster2"][case] == single
 
 
 class TestClusterService:
@@ -280,6 +332,36 @@ class TestClusterService:
         self._run(flow())
         for shard in cluster._shards:
             assert not shard.proc.is_alive()
+
+    def test_dead_shard_fails_in_flight_requests_and_drain_returns(self):
+        cluster = ClusterService(workers=2, seed=0)
+
+        async def flow():
+            reg = await cluster.handle_request({"op": "register", "fitness": [1.0, 2.0]})
+            wid = reg["wheel"]
+            shard = cluster._shards[cluster.ring.lookup(wid)]
+            os.kill(shard.proc.pid, signal.SIGSTOP)
+            try:
+                draw = asyncio.ensure_future(
+                    cluster.handle_request({"op": "draw", "wheel": wid, "n": 2, "id": 1})
+                )
+                await asyncio.sleep(0.05)
+                assert not draw.done()
+            finally:
+                os.kill(shard.proc.pid, signal.SIGKILL)
+            in_flight = await asyncio.wait_for(draw, 5.0)
+            later = await cluster.handle_request({"op": "draw", "wheel": wid, "n": 1})
+            await asyncio.wait_for(cluster.drain(), 5.0)
+            await cluster.close()
+            return in_flight, later, shard.index
+
+        in_flight, later, index = self._run(flow())
+        assert in_flight["status"] == "error" and in_flight["id"] == 1
+        assert in_flight["error"] == "ServiceError"
+        assert f"shard {index} exited" in in_flight["message"]
+        assert {k: later[k] for k in ("status", "error", "message")} == {
+            k: in_flight[k] for k in ("status", "error", "message")
+        }
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError):

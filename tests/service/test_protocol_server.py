@@ -42,6 +42,13 @@ class TestProtocol:
             '{"op": "draw", "wheel": "w1:ab", "n": 0}',
             '{"op": "draw", "wheel": "w1:ab", "n": true}',
             '{"op": "draw", "wheel": "w1:ab", "n": 1, "seed": "x"}',
+            '{"op": "draw", "wheel": "w1:ab", "n": 1, "deadline_us": "x"}',
+            '{"op": "draw", "wheel": "w1:ab", "n": 1, "deadline_us": true}',
+            '{"op": "update", "wheel": "w1:ab", "indices": [1.5], "values": [1.0]}',
+            '{"op": "update", "wheel": "w1:ab", "indices": [true], "values": [1.0]}',
+            '{"op": "update", "wheel": "w1:ab", "indices": ["1"], "values": [1.0]}',
+            '{"op": "update", "wheel": "w1:ab", "indices": [1], "values": [true]}',
+            '{"op": "update", "wheel": "w1:ab", "indices": [1], "values": ["1"]}',
         ],
     )
     def test_decode_rejects_malformed(self, line):

@@ -89,6 +89,28 @@ class TestCoalescing:
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 
+    def test_out_of_range_seed_fails_alone(self):
+        """A seed outside [0, 2**64) is refused at admission; the
+        requests it would have coalesced with are served unchanged."""
+        reg, wid = _registry()
+        seeds = [5, -1, 6, 2**64 - 1, 2**64, 7]
+
+        async def burst():
+            sched = MicroBatchScheduler(reg, BatchConfig(max_batch=64), seed=3)
+            return await asyncio.gather(
+                *(sched.draw(wid, 4, seed=s) for s in seeds), return_exceptions=True
+            )
+
+        async def solo(seed):
+            sched = MicroBatchScheduler(reg, BatchConfig(max_batch=1), seed=3)
+            return await sched.draw(wid, 4, seed=seed)
+
+        for seed, got in zip(seeds, asyncio.run(burst())):
+            if 0 <= seed < 2**64:
+                np.testing.assert_array_equal(got, asyncio.run(solo(seed)))
+            else:
+                assert isinstance(got, ValueError), (seed, got)
+
     def test_zero_delay_flushes_immediately_without_busy_wait(self):
         reg, wid = _registry()
         sched = MicroBatchScheduler(
