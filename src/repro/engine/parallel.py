@@ -42,9 +42,9 @@ __all__ = [
     "worker_streams",
 ]
 
-#: Uncalibrated fallback: below this many draws per worker, process
-#: startup outweighs the work on typical hosts.  The *operative* value
-#: is per-host — see :func:`suggest_workers` for the resolution chain.
+#: Below this many draws per worker, process startup outweighs the work
+#: on typical hosts.  ``python -m repro bench tune`` reports this host's
+#: measured break-even; pass it as ``min_draws_per_worker`` to use it.
 MIN_DRAWS_PER_WORKER = 250_000
 
 
@@ -52,41 +52,20 @@ def suggest_workers(
     size: int,
     *,
     available: Optional[int] = None,
-    min_draws_per_worker: Optional[int] = None,
+    min_draws_per_worker: int = MIN_DRAWS_PER_WORKER,
 ) -> int:
-    """Auto-tune the worker count for a draw budget.
+    """Pick the worker count for a draw budget.
 
-    One worker per ``min_draws_per_worker`` draws, capped by the CPU
-    count (``available`` overrides detection, for tests and schedulers).
-    Always at least 1.
-
-    Contract for the break-even threshold
-    -------------------------------------
-    ``min_draws_per_worker`` is the smallest shard for which a worker
-    pays for its own startup: ``spawn_overhead_s / draw_s`` on the host's
-    measured constants.  When the argument is ``None`` (the default) it
-    resolves, in order:
-
-    1. the ``REPRO_MIN_DRAWS_PER_WORKER`` env var — pin any value
-       without code changes (tests and CI pin the legacy constant);
-    2. the per-host calibration cache written by
-       ``python -m repro bench tune`` / :func:`repro.tune.calibrate`
-       (``~/.cache/repro/tune/<host>.json``);
-    3. the uncalibrated fallback :data:`MIN_DRAWS_PER_WORKER`.
-
-    The resolution is memoised per process (this function sits on the
-    engine hot path); :func:`repro.tune.calibration.invalidate` resets
-    it after an env or cache change.  Passing the argument explicitly
-    bypasses the chain entirely.
+    One worker per ``min_draws_per_worker`` draws, capped by the CPU count
+    (``available`` overrides detection, for tests and schedulers).
+    Always at least 1.  The answer is a pure function of the arguments
+    and the CPU count: no environment variable or file changes it, so
+    ``workers=None`` callers replay bit for bit.
     """
     if available is None:
         available = os.cpu_count() or 1
     if available < 1 or size < 0:
         raise ValueError(f"need available >= 1 and size >= 0, got {available}, {size}")
-    if min_draws_per_worker is None:
-        from repro.tune.calibration import resolve_min_draws_per_worker
-
-        min_draws_per_worker = resolve_min_draws_per_worker(MIN_DRAWS_PER_WORKER)
     return max(1, min(available, size // max(1, min_draws_per_worker)))
 
 

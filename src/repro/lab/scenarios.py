@@ -209,11 +209,12 @@ def _accuracy(params: Mapping[str, Any]) -> Dict[str, Any]:
 
 @scenario("tune")
 def _tune(params: Mapping[str, Any]) -> Dict[str, Any]:
-    """One ``bench tune`` point: calibrate, predict, and gate on this host.
+    """One ``bench tune`` point: probe, predict, and gate on this host.
 
     Exposes the tuner's headline numbers as tidy columns so a lab
-    matrix can sweep seeds or workloads and chart the calibrated costs
-    and prediction error alongside the other scenarios.
+    matrix can sweep seeds or workloads and chart the measured costs
+    and prediction error alongside the other scenarios.  A cell writes
+    nothing outside the lab store.
     """
     from repro.bench.record import failed_gates
     from repro.tune.bench import run_bench_tune
@@ -230,7 +231,7 @@ def _tune(params: Mapping[str, Any]) -> Dict[str, Any]:
     return {
         "draw_ns": cal["draw_ns"],
         "spawn_overhead_ms": cal["spawn_overhead_s"] * 1e3,
-        "min_draws_per_worker": cal["min_draws_per_worker"] or 0,
+        "min_draws_per_worker": cal["min_draws_per_worker"],
         "race_law_error": report["predictor"]["worst_relative_error"],
         "speedup_gate_skipped": "worst_relative_error" not in sg,
         "speedup_gate_error": sg.get("worst_relative_error", 0.0),

@@ -203,21 +203,15 @@ def _parallel_section(
 ) -> Dict[str, Any]:
     """Measured fan-out speedup vs the work-sharing model."""
     from repro.tune.predictor import sharded_speedup
+    from repro.tune.probes import probe_spawn_overhead
 
     instance = make_systems(n_systems, delta)
     kwargs = dict(alpha=alpha, n0=n0, seed=seed)
     solo = run_rs(instance, replications, workers=1, **kwargs)
     fanned = run_rs(instance, replications, workers=_FANOUT_WORKERS, **kwargs)
     measured = solo["wall_s"] / fanned["wall_s"] if fanned["wall_s"] else 1.0
-    # Pool startup is the only modelled overhead; estimate it from the
-    # calibrated spawn cost when a calibration is cached, else zero.
-    try:
-        from repro.tune.calibration import load_calibration
-
-        cal = load_calibration()
-        overhead = cal.spawn_overhead_s if cal is not None else 0.0
-    except Exception:
-        overhead = 0.0
+    # Pool startup is the only modelled overhead; measure it here.
+    overhead = probe_spawn_overhead()
     predicted = sharded_speedup(
         solo["wall_s"], _FANOUT_WORKERS, overhead_s=overhead
     )

@@ -307,7 +307,7 @@ def run_rs(
     is byte-identical for every ``workers`` value — the determinism
     certificate ``python -m repro bench select`` records.
 
-    ``workers=None`` consults the calibrated
+    ``workers=None`` consults
     :func:`repro.engine.parallel.suggest_workers` with the estimated
     total draw budget.
     """

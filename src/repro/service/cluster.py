@@ -444,13 +444,20 @@ class ClusterService:
         if self._closed:
             return []
         replies = await asyncio.gather(
-            *(self._call(shard, {"op": "stats"}) for shard in self._shards)
+            *(self._call(shard, {"op": "stats"}) for shard in self._shards),
+            return_exceptions=True,
         )
         # Each shard's service reports itself as the one shard of a pool.
-        return [
-            {**reply["stats"]["shards"][0], "shard": shard.index}
-            for shard, reply in zip(self._shards, replies)
-        ]
+        # A lost shard gets a marker entry; the live ones still report.
+        shards = []
+        for shard, reply in zip(self._shards, replies):
+            if isinstance(reply, ServiceError):
+                shards.append({"shard": shard.index, "lost": str(reply)})
+            elif isinstance(reply, BaseException):
+                raise reply
+            else:
+                shards.append({**reply["stats"]["shards"][0], "shard": shard.index})
+        return shards
 
     async def stats(self) -> Dict[str, Any]:
         """The ``stats`` RPC: routing table view plus per-shard counters.

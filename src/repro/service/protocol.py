@@ -219,7 +219,9 @@ def error_response(
     Shedding and expiry get ``status: "overloaded"`` (retryable), a
     graceful shutdown gets ``status: "draining"`` (retry elsewhere);
     everything else is ``status: "error"``.  The concrete class name
-    rides in ``error`` either way, so clients keep full fidelity.
+    rides in ``error`` either way, so clients keep full fidelity.  A
+    one-argument ``KeyError`` (unknown wheel or method) sends its
+    argument, not ``str(exc)``, which would be its quoted repr.
     """
     if isinstance(exc, ServiceDrainingError):
         status = "draining"
@@ -227,10 +229,14 @@ def error_response(
         status = "overloaded"
     else:
         status = "error"
+    if isinstance(exc, KeyError) and len(exc.args) == 1:
+        message = str(exc.args[0])
+    else:
+        message = str(exc)
     response: Dict[str, Any] = {
         "status": status,
         "error": type(exc).__name__,
-        "message": str(exc),
+        "message": message,
     }
     if request_id is not None:
         response["id"] = request_id

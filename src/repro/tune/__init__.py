@@ -1,4 +1,4 @@
-"""Runtime-distribution capture, speedup prediction, and calibration.
+"""Runtime-distribution capture, speedup prediction, and host probes.
 
 ``repro.tune`` closes the loop between measurement and configuration:
 
@@ -9,28 +9,19 @@
   (Truchet, Richoux & Codognet) plus the work-sharing cost model the
   engine's sharded draws follow, all in log space;
 * :mod:`repro.tune.probes` — short probe runs measuring this host's
-  cost constants and runtime distributions;
-* :mod:`repro.tune.calibration` — the atomic per-host calibration cache
-  and the ``suggest_workers`` min-draws resolution chain;
+  cost constants and runtime distributions, held in memory;
 * :mod:`repro.tune.restarts` — restart schedules (fixed cutoff, Luby)
   derived from captured restart-time distributions;
 * :mod:`repro.tune.bench` — ``python -m repro bench tune``, the gate
   that scores predictions against measurement.
 """
 
-from repro.tune.calibration import (
-    HostCalibration,
-    calibration_path,
-    load_calibration,
-    resolve_min_draws_per_worker,
-    save_calibration,
-)
 from repro.tune.predictor import (
     RuntimeDistribution,
     optimal_sharded_workers,
     sharded_speedup,
 )
-from repro.tune.probes import calibrate
+from repro.tune.probes import Calibration, calibrate
 from repro.tune.restarts import luby_sequence, optimal_cutoff, restart_schedule
 from repro.tune.sample import RuntimeSample
 from repro.tune.timers import TimingResult, best_of, measure, median_of, timed
@@ -40,11 +31,7 @@ __all__ = [
     "RuntimeDistribution",
     "sharded_speedup",
     "optimal_sharded_workers",
-    "HostCalibration",
-    "calibration_path",
-    "load_calibration",
-    "save_calibration",
-    "resolve_min_draws_per_worker",
+    "Calibration",
     "calibrate",
     "luby_sequence",
     "optimal_cutoff",

@@ -14,24 +14,23 @@ exact race round-count law of ``repro.stats.race_theory`` (empirical
 sample in, analytic pmf as oracle), which has no wall-clock noise at
 all.
 
-Plus the determinism certificate: calibrated ``suggest_workers``
-leaves ``parallel_counts`` byte-identical.
+Plus the determinism certificate: ``parallel_counts`` with
+``workers=None`` is byte-identical on a rerun and to an explicit
+``suggest_workers(size)``.  The probes' cost constants are reported
+in the record and nowhere else: no later call reads them.
 """
 
 from __future__ import annotations
 
 import os
+import platform
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Sequence
 
 import numpy as np
 
 from repro.bench.record import GATE, NONEMPTY, NUMBER, gate, make_record, render_gates, skip
-from repro.tune.calibration import (
-    resolve_min_draws_per_worker,
-    save_calibration,
-)
 from repro.tune.predictor import RuntimeDistribution
 from repro.tune.probes import calibrate
 from repro.tune.sample import RuntimeSample
@@ -153,13 +152,13 @@ def _speedup_section(
 
 
 # ----------------------------------------------------------------------
-def _predictor_section(cal) -> Dict[str, Any]:
+def _predictor_section(race_rounds: RuntimeSample) -> Dict[str, Any]:
     """Empirical pipeline vs the exact race round-count law (k = 64)."""
     from repro.stats.race_theory import expected_rounds
 
     k = 64
     exact = RuntimeDistribution.from_race_law(k)
-    empirical = cal.sample("race_rounds").distribution()
+    empirical = race_rounds.distribution()
     grid = (1, 2, 4, 8)
     exact_curve = exact.speedup_curve(grid)
     empirical_curve = empirical.speedup_curve(grid)
@@ -171,7 +170,7 @@ def _predictor_section(cal) -> Dict[str, Any]:
     worst = max(max(errors.values()), mean_error)
     return {
         "k": k,
-        "trials": cal.sample("race_rounds").count,
+        "trials": race_rounds.count,
         "exact_mean_rounds": exact.mean(),
         "analytic_mean_rounds": expected_rounds(k),
         "empirical_mean_rounds": empirical.mean(),
@@ -188,13 +187,12 @@ def _predictor_section(cal) -> Dict[str, Any]:
 def _determinism_section(
     *, seed: int, wheel_n: int, method: str
 ) -> Dict[str, Any]:
-    """The acceptance certificate: calibration changes nothing bitwise."""
+    """The acceptance certificate: ``workers=None`` is a pure choice."""
     from repro.engine.parallel import parallel_counts, suggest_workers
 
     fitness = 1.0 - np.random.default_rng(seed).random(wheel_n)
 
-    # parallel_counts under calibrated suggest_workers (workers=None
-    # resolves through the calibration chain on both calls).
+    # workers=None picks suggest_workers(size) on both calls.
     size = 200_000
     c1 = parallel_counts(fitness, size, method=method, seed=seed)
     c2 = parallel_counts(fitness, size, method=method, seed=seed)
@@ -222,35 +220,27 @@ def run_bench_tune(
     rare_weight: float = 0.02,
     chunk: int = 8192,
     race_trials_probe: int = 20_000,
-    calibration_out: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Probe, predict, measure, and assemble the BENCH_tune record.
 
-    The calibration produced along the way is published to the per-host
-    cache (``calibration_out`` overrides the path), so running the
-    bench *is* how a host gets tuned.
+    Writes nothing: the probed cost constants go into the returned
+    record only.
     """
     cpu_count = os.cpu_count() or 1
 
     cal, probe_costs = calibrate(
         seed=seed, n=wheel_n, method=method, race_trials=race_trials_probe
     )
-    cache_path = save_calibration(cal, calibration_out)
-    min_draws = resolve_min_draws_per_worker()
-
     calibration_section = {
-        "path": cache_path,
-        "host": cal.host,
-        "cpu_count": cal.cpu_count,
+        "host": platform.node() or "localhost",
+        "cpu_count": cpu_count,
         "spawn_overhead_s": cal.spawn_overhead_s,
         "draw_ns": cal.draw_s * 1e9,
-        "min_draws_per_worker": cal.min_draws_per_worker(),
-        "resolved_min_draws_per_worker": min_draws,
+        "min_draws_per_worker": cal.min_draws_per_worker,
         "probe_costs_s": probe_costs,
-        "samples": sorted(cal.samples),
     }
 
-    predictor = _predictor_section(cal)
+    predictor = _predictor_section(cal.race_rounds)
     max_w = max(workers)
     if cpu_count < max_w:
         speedup_gate = {"workers": list(workers)}
@@ -306,8 +296,7 @@ def render_bench_tune(report: Dict[str, Any]) -> str:
         f"== tune bench: host={cal['host']}, cpus={cal['cpu_count']} ==",
         f"calibration: spawn={cal['spawn_overhead_s'] * 1e3:.1f} ms, "
         f"draw={cal['draw_ns']:.0f} ns",
-        f"min_draws_per_worker: calibrated={cal['min_draws_per_worker']}, "
-        f"resolved={cal['resolved_min_draws_per_worker']}",
+        f"break-even min_draws_per_worker: {cal['min_draws_per_worker']}",
         f"race-law check (k={pred['k']}): worst error "
         f"{pred['worst_relative_error'] * 100:.2f}%",
     ]

@@ -35,7 +35,7 @@ Real restart-style workloads sit between the two.  For *work-sharing*
 parallelism (the engine's ``parallel_counts`` shards a draw budget, no
 racing), the right model is :func:`sharded_speedup`: deterministic
 per-unit work splits perfectly, so the speedup is exactly ``W`` minus
-whatever per-worker startup overhead the calibration measured.
+whatever per-worker startup overhead the spawn probe measured.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
-"""Short probe runs that feed the calibration cache.
+"""Short probe runs measuring this host's cost constants.
 
 Each probe measures one cost constant or captures one runtime
 distribution, deliberately spending a few tens of milliseconds — the
 whole point of the tuner is that a probe budget of well under a second
 replaces static-sweep measurement campaigns.  Probes return plain
 numbers or :class:`repro.tune.sample.RuntimeSample` objects;
-:func:`calibrate` orchestrates the standard set into a
-:class:`repro.tune.calibration.HostCalibration`.
+:func:`calibrate` runs the standard set into a :class:`Calibration`.
+Nothing is persisted: the caller reports the values it was handed.
 
 All probes are deterministic given ``seed`` (modulo the wall clock they
 are measuring, which is the product).
@@ -14,19 +14,18 @@ are measuring, which is the product).
 
 from __future__ import annotations
 
-import os
-import platform
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, NamedTuple, Tuple
 
 import numpy as np
 
-from repro.tune.calibration import HostCalibration
 from repro.tune.sample import RuntimeSample
 from repro.tune.timers import measure
 
 __all__ = [
+    "Calibration",
     "probe_spawn_overhead",
     "probe_draw_cost",
     "probe_race_rounds",
@@ -62,12 +61,10 @@ def probe_draw_cost(
     method: str = "log_bidding",
     seed: int = 0,
     repeats: int = 3,
-) -> Tuple[float, RuntimeSample]:
+) -> float:
     """Per-draw seconds of the compiled throughput kernel on this host.
 
-    Returns ``(draw_s, sample)`` where ``sample`` holds the per-repeat
-    wall times of the probe batches (unit ``"s"``).  The estimate is
-    min-of-reps over ``repeats`` batches of ``draws`` draws at wheel
+    Min-of-reps over ``repeats`` batches of ``draws`` draws at wheel
     size ``n`` — the workload shape ``suggest_workers`` shards.
     """
     from repro.engine.compiled import CompiledWheel
@@ -76,8 +73,7 @@ def probe_draw_cost(
     wheel = CompiledWheel(values, method, kernel="auto")
     rng = np.random.default_rng(seed + 1)
     result = measure(lambda: wheel.select_many(draws, rng=rng), repeats=repeats)
-    sample = RuntimeSample(unit="s", values=result.samples)
-    return result.best / draws, sample
+    return result.best / draws
 
 
 def probe_race_rounds(
@@ -96,6 +92,26 @@ def probe_race_rounds(
     return RuntimeSample(unit="rounds", values=rounds.astype(np.float64))
 
 
+class Calibration(NamedTuple):
+    """One run of the standard probe set, held in memory."""
+
+    #: Serial cost of standing up one pool worker process, seconds.
+    spawn_overhead_s: float
+    #: Compiled-kernel cost of one draw, seconds (throughput path).
+    draw_s: float
+    #: The paper's race round counts (unit ``"rounds"``).
+    race_rounds: RuntimeSample
+
+    @property
+    def min_draws_per_worker(self) -> int:
+        """The measured break-even shard size, ``spawn_overhead_s / draw_s``.
+
+        A worker pays for its own startup only when its shard's kernel
+        time at least matches the serial cost of spawning it.
+        """
+        return math.ceil(self.spawn_overhead_s / self.draw_s)
+
+
 def calibrate(
     *,
     seed: int = 0,
@@ -104,34 +120,25 @@ def calibrate(
     method: str = "log_bidding",
     race_k: int = 64,
     race_trials: int = 20_000,
-) -> Tuple[HostCalibration, Dict[str, Any]]:
+) -> Tuple[Calibration, Dict[str, Any]]:
     """Run the standard probe set; returns ``(calibration, probe_costs)``.
 
     ``probe_costs`` maps probe name to wall seconds spent (plus their
     ``total``), recorded in the bench's calibration section.
     """
-    cal = HostCalibration(
-        host=platform.node() or "localhost",
-        cpu_count=os.cpu_count() or 1,
-        created=time.time(),
-    )
     costs: Dict[str, Any] = {}
 
     start = time.perf_counter()
-    cal.spawn_overhead_s = probe_spawn_overhead()
+    spawn_overhead_s = probe_spawn_overhead()
     costs["spawn"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    draw_s, draw_sample = probe_draw_cost(
-        n=n, draws=draws, method=method, seed=seed
-    )
-    cal.draw_s = draw_s
-    cal.put_sample("engine_draw_batches", draw_sample)
+    draw_s = probe_draw_cost(n=n, draws=draws, method=method, seed=seed)
     costs["draw"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    cal.put_sample("race_rounds", probe_race_rounds(race_k, race_trials, seed=seed))
+    race_rounds = probe_race_rounds(race_k, race_trials, seed=seed)
     costs["race"] = time.perf_counter() - start
 
     costs["total"] = sum(v for v in costs.values())
-    return cal, costs
+    return Calibration(spawn_overhead_s, draw_s, race_rounds), costs

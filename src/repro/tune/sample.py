@@ -5,38 +5,28 @@ runtime observations (seconds for wall-clock probes, rounds for the race
 lab — the unit is the caller's, recorded alongside).  It is deliberately
 dumb: the Las Vegas machinery lives in :mod:`repro.tune.predictor`,
 which consumes a sample via :meth:`RuntimeSample.distribution`.
-
-Samples are JSON-able (:meth:`state` / :meth:`from_state`) so the
-per-host calibration cache (:mod:`repro.tune.calibration`) can persist
-them between processes, and mergeable so probe shards can be combined —
-the same portable-state discipline as the service's latency histograms.
+Samples live in memory only: a probe records one, and the bench that
+ran the probe consumes it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 __all__ = ["RuntimeSample"]
 
-#: Cap on persisted observations per sample: beyond it, :meth:`state`
-#: stores evenly-spaced order statistics instead of the raw sample —
-#: the empirical CDF the predictor consumes is preserved to ~1/CAP
-#: quantile resolution while the calibration cache stays small.
-STATE_CAP = 4096
-
 
 class RuntimeSample:
-    """Non-negative runtime observations with portable state.
+    """Non-negative runtime observations in a caller-named unit.
 
     Parameters
     ----------
     unit:
         Free-form label for what one observation measures (``"s"`` for
-        wall seconds, ``"rounds"`` for race round counts, ...).  Merging
-        refuses mismatched units — a sample of seconds folded into a
-        sample of rounds is always a bug.
+        wall seconds, ``"rounds"`` for race round counts, ...); it rides
+        into the :class:`repro.tune.predictor.RuntimeDistribution`.
     """
 
     __slots__ = ("unit", "_values")
@@ -98,37 +88,6 @@ class RuntimeSample:
         from repro.tune.predictor import RuntimeDistribution
 
         return RuntimeDistribution.from_samples(self.values, unit=self.unit)
-
-    # ------------------------------------------------------------------
-    def state(self) -> Dict[str, Any]:
-        """Portable JSON-able state (decimated past :data:`STATE_CAP`)."""
-        arr = np.sort(self.values)
-        decimated = False
-        if arr.size > STATE_CAP:
-            # Evenly spaced order statistics preserve the empirical CDF
-            # to ~1/STATE_CAP quantile resolution.
-            idx = np.linspace(0, arr.size - 1, STATE_CAP).round().astype(np.int64)
-            arr = arr[idx]
-            decimated = True
-        return {
-            "unit": self.unit,
-            "count": self.count,
-            "decimated": decimated,
-            "values": [float(v) for v in arr],
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, Any]) -> "RuntimeSample":
-        """Rebuild a sample from :meth:`state` output."""
-        return cls(unit=state.get("unit", "s"), values=state.get("values", []))
-
-    def merge(self, other: "RuntimeSample") -> None:
-        """Fold another sample's observations into this one."""
-        if other.unit != self.unit:
-            raise ValueError(
-                f"cannot merge a {other.unit!r} sample into a {self.unit!r} sample"
-            )
-        self._values.extend(other._values)
 
     def __len__(self) -> int:
         return len(self._values)

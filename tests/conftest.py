@@ -2,22 +2,8 @@
 
 from __future__ import annotations
 
-import os
-import tempfile
-
 import numpy as np
 import pytest
-
-# Hermetic tuning: pin the min-draws threshold to the legacy constant and
-# point the calibration cache at a throwaway directory, so a developer
-# machine's ~/.cache/repro/tune record can never change what the suite
-# measures.  setdefault keeps explicit CI overrides in charge, and tests
-# of the resolution chain itself monkeypatch these (plus
-# repro.tune.calibration.invalidate()).
-os.environ.setdefault("REPRO_MIN_DRAWS_PER_WORKER", "250000")
-os.environ.setdefault(
-    "REPRO_TUNE_CACHE", tempfile.mkdtemp(prefix="repro-tune-test-")
-)
 
 
 @pytest.fixture
@@ -93,17 +79,11 @@ def select_record():
 
 
 @pytest.fixture(scope="session")
-def tune_record(tmp_path_factory):
+def tune_record():
     from repro.tune.bench import run_bench_tune
 
-    out = tmp_path_factory.mktemp("tune") / "calibration.json"
     return run_bench_tune(
-        seed=0,
-        trials=3,
-        race_trials=2,
-        wheel_n=128,
-        race_trials_probe=4000,
-        calibration_out=str(out),
+        seed=0, trials=3, race_trials=2, wheel_n=128, race_trials_probe=4000
     )
 
 

@@ -91,9 +91,6 @@ def test_empty_and_error_inputs():
 # Worker auto-tuning and sharding.
 # ---------------------------------------------------------------------------
 def test_suggest_workers_scales_with_draws():
-    # Pin the threshold explicitly: the default now resolves through the
-    # env/calibration chain (hermetically pinned in conftest), and this
-    # test is about the scaling law, not the resolution.
     m = MIN_DRAWS_PER_WORKER
     assert suggest_workers(0, available=8, min_draws_per_worker=m) == 1
     assert suggest_workers(m - 1, available=8, min_draws_per_worker=m) == 1
@@ -106,15 +103,13 @@ def test_suggest_workers_scales_with_draws():
         suggest_workers(-1)
 
 
-def test_suggest_workers_default_resolves_through_chain(monkeypatch):
-    from repro.tune import calibration
-
-    monkeypatch.setenv(calibration.ENV_MIN_DRAWS, "1000")
-    calibration.invalidate()
-    try:
-        assert suggest_workers(10_000, available=8) == 8
-    finally:
-        calibration.invalidate()
+def test_suggest_workers_default_ignores_the_environment(monkeypatch):
+    # The default threshold is the constant; no env var can move it, so
+    # a workers=None call replays on every host and shell.
+    monkeypatch.setenv("REPRO_MIN_DRAWS_PER_WORKER", "1000")
+    assert suggest_workers(10_000, available=8) == suggest_workers(
+        10_000, available=8, min_draws_per_worker=MIN_DRAWS_PER_WORKER
+    )
 
 
 def test_shard_sizes_partition_exactly():

@@ -7,6 +7,7 @@ import signal
 import numpy as np
 import pytest
 
+from repro.engine.compiled import _AUTO_KERNEL
 from repro.rng.streams import request_stream
 from repro.service.cluster import DEFAULT_VNODES, ClusterService, HashRing
 from repro.service.registry import WheelRegistry, digest_key, wheel_digest
@@ -27,6 +28,23 @@ EDGE_REQUESTS = {
     "degenerate_update": {
         "op": "update", "wheel": WHEEL, "indices": [0, 1, 2], "values": [0.0] * 3,
     },
+}
+
+
+#: The exact wire message of each unknown-name case.  Both errors
+#: subclass ``KeyError``, whose ``str`` would add a pair of quotes.
+UNKNOWN_NAME_MESSAGES = {
+    "unknown_method": (
+        f"no compiled kernel for method 'nope'; compilable: {sorted(_AUTO_KERNEL)}"
+    ),
+    "unknown_wheel": (
+        f"wheel {EDGE_REQUESTS['unknown_wheel']['wheel']!r} is not registered "
+        "(or was evicted); re-register the fitness vector to restore it"
+    ),
+    "malformed_wheel_id": (
+        "wheel 'garbage' is not registered (or was evicted); "
+        "re-register the fitness vector to restore it"
+    ),
 }
 
 
@@ -108,6 +126,12 @@ def test_cluster_answers_equal_single_process_answers(edge_answers, case):
     assert single["status"] == "error"
     assert edge_answers["cluster1"][case] == single
     assert edge_answers["cluster2"][case] == single
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_NAME_MESSAGES))
+@pytest.mark.parametrize("service", ["single", "cluster2"])
+def test_unknown_name_messages_arrive_unquoted(edge_answers, service, case):
+    assert edge_answers[service][case]["message"] == UNKNOWN_NAME_MESSAGES[case]
 
 
 class TestClusterService:
@@ -351,17 +375,25 @@ class TestClusterService:
                 os.kill(shard.proc.pid, signal.SIGKILL)
             in_flight = await asyncio.wait_for(draw, 5.0)
             later = await cluster.handle_request({"op": "draw", "wheel": wid, "n": 1})
+            stats = await cluster.handle_request({"op": "stats"})
+            metrics = await cluster.handle_request({"op": "metrics"})
             await asyncio.wait_for(cluster.drain(), 5.0)
             await cluster.close()
-            return in_flight, later, shard.index
+            return in_flight, later, stats, metrics, shard.index
 
-        in_flight, later, index = self._run(flow())
+        in_flight, later, stats, metrics, index = self._run(flow())
         assert in_flight["status"] == "error" and in_flight["id"] == 1
         assert in_flight["error"] == "ServiceError"
         assert f"shard {index} exited" in in_flight["message"]
         assert {k: later[k] for k in ("status", "error", "message")} == {
             k: in_flight[k] for k in ("status", "error", "message")
         }
+        # The live shard still reports; the dead one is marked, not fatal.
+        assert stats["status"] == "ok" and metrics["status"] == "ok"
+        for shards in (stats["stats"]["shards"], metrics["metrics"]["shards"]):
+            dead, live = sorted(shards, key=lambda s: s["shard"] != index)
+            assert dead == {"shard": index, "lost": in_flight["message"]}
+            assert live["shard"] == 1 - index and "registry" in live
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,8 @@
-"""RuntimeSample: validation, stats, portable state, decimation."""
+"""RuntimeSample: validation, stats, and the bridge to the predictor."""
 
-import numpy as np
 import pytest
 
-from repro.tune.sample import STATE_CAP, RuntimeSample
+from repro.tune.sample import RuntimeSample
 
 
 def test_record_and_stats():
@@ -29,40 +28,6 @@ def test_rejects_bad_observations():
     with pytest.raises(ValueError):
         s.quantile(1.5)
     assert s.count == 0  # nothing leaked in
-
-
-def test_state_roundtrip_preserves_distribution():
-    s = RuntimeSample(unit="rounds", values=[5.0, 1.0, 3.0, 3.0])
-    state = s.state()
-    assert state["unit"] == "rounds"
-    assert state["count"] == 4
-    assert not state["decimated"]
-    back = RuntimeSample.from_state(state)
-    assert back.unit == "rounds"
-    np.testing.assert_array_equal(back.values, np.sort(s.values))
-
-
-def test_state_decimates_past_cap():
-    rng = np.random.default_rng(0)
-    s = RuntimeSample(values=rng.random(STATE_CAP + 500))
-    state = s.state()
-    assert state["decimated"]
-    assert len(state["values"]) == STATE_CAP
-    assert state["count"] == STATE_CAP + 500
-    # Order statistics keep the quantiles: compare a few against the raw
-    # sample to ~1/STATE_CAP resolution.
-    back = RuntimeSample.from_state(state)
-    for q in (0.1, 0.5, 0.9):
-        assert back.quantile(q) == pytest.approx(s.quantile(q), abs=2e-3)
-
-
-def test_merge_requires_matching_units():
-    a = RuntimeSample(unit="s", values=[1.0])
-    b = RuntimeSample(unit="s", values=[2.0, 3.0])
-    a.merge(b)
-    assert a.count == 3
-    with pytest.raises(ValueError):
-        a.merge(RuntimeSample(unit="rounds"))
 
 
 def test_distribution_bridges_to_predictor():
