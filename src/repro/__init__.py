@@ -17,6 +17,8 @@ See README.md for the architecture tour and ``python -m repro --list``
 for the paper-reproduction experiments.
 """
 
+import importlib
+
 from repro._version import __version__
 from repro.core import (
     FitnessVector,
@@ -31,20 +33,6 @@ from repro.core import (
     selection_counts,
     streaming_select,
     StreamingSelector,
-)
-from repro import (
-    aco,
-    audit,
-    bench,
-    core,
-    engine,
-    msg,
-    parallel,
-    pram,
-    rng,
-    service,
-    simt,
-    stats,
 )
 
 __all__ = [
@@ -74,3 +62,18 @@ __all__ = [
     "bench",
     "service",
 ]
+
+#: Subpackages resolve on first attribute access (PEP 562), so ``import
+#: repro`` pays only for ``repro.core``; a command imports the rest of
+#: the stack (and SciPy / networkx behind it) only if it uses it.
+_SUBPACKAGES = frozenset(__all__) - frozenset(globals())
+
+
+def __getattr__(name):
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f"repro.{name}")
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

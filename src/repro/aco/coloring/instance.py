@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import InvalidColoringError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["ColoringInstance"]
 
@@ -23,6 +25,8 @@ class ColoringInstance:
     def __init__(self, graph: nx.Graph, name: str = "coloring") -> None:
         if graph.number_of_nodes() == 0:
             raise InvalidColoringError("graph has no vertices")
+        import networkx as nx
+
         g = nx.convert_node_labels_to_integers(graph)
         self.graph = g
         self.name = name
@@ -45,6 +49,8 @@ class ColoringInstance:
             raise InvalidColoringError(f"n must be positive, got {n}")
         if not 0.0 <= p <= 1.0:
             raise InvalidColoringError(f"p must be in [0, 1], got {p}")
+        import networkx as nx
+
         return cls(nx.gnp_random_graph(n, p, seed=seed), name=f"gnp{n}-p{p}-s{seed}")
 
     @classmethod
@@ -52,6 +58,8 @@ class ColoringInstance:
         """An n-cycle: chromatic number 2 (even n) or 3 (odd n) — an oracle."""
         if n < 3:
             raise InvalidColoringError(f"cycle needs >= 3 vertices, got {n}")
+        import networkx as nx
+
         return cls(nx.cycle_graph(n), name=f"cycle{n}")
 
     @classmethod
@@ -59,11 +67,15 @@ class ColoringInstance:
         """K_n: chromatic number exactly n — the hard oracle."""
         if n < 1:
             raise InvalidColoringError(f"complete graph needs >= 1 vertex, got {n}")
+        import networkx as nx
+
         return cls(nx.complete_graph(n), name=f"K{n}")
 
     @classmethod
     def queen(cls, n: int) -> "ColoringInstance":
         """The n x n queen graph, a classic DIMACS coloring family."""
+        import networkx as nx
+
         g = nx.Graph()
         for r1 in range(n):
             for c1 in range(n):
@@ -106,6 +118,8 @@ class ColoringInstance:
 
     def greedy_chromatic_upper_bound(self) -> int:
         """Colors used by networkx's largest-first greedy — the baseline."""
+        import networkx as nx
+
         coloring: Dict[int, int] = nx.greedy_color(self.graph, strategy="largest_first")
         return max(coloring.values()) + 1 if coloring else 1
 

@@ -38,12 +38,15 @@ class AliasTable:
         n = f.size
         # Normalise before scaling: (f / sum) * n stays finite even for
         # subnormal fitness values where n / sum would overflow.
-        scaled = (f / f.sum()) * n  # mean 1 per column
-        prob = np.empty(n, dtype=np.float64)
-        alias = np.zeros(n, dtype=np.int64)
-        small = [i for i in range(n) if scaled[i] < 1.0]
-        large = [i for i in range(n) if scaled[i] >= 1.0]
-        scaled = scaled.copy()
+        scaled_arr = (f / f.sum()) * n  # mean 1 per column
+        small = np.flatnonzero(scaled_arr < 1.0).tolist()
+        large = np.flatnonzero(scaled_arr >= 1.0).tolist()
+        # The worklist loop runs on Python lists of floats: the same IEEE
+        # double arithmetic as on NumPy scalars (so the table is bitwise
+        # the same), without a NumPy scalar box per element access.
+        scaled = scaled_arr.tolist()
+        prob = [0.0] * n
+        alias = [0] * n
         while small and large:
             s = small.pop()
             l = large.pop()
@@ -62,8 +65,8 @@ class AliasTable:
                 # Redirect the empty column to any positive outcome.
                 alias[i] = int(np.flatnonzero(f > 0.0)[0])
         self.n = n
-        self._prob = prob
-        self._alias = alias
+        self._prob = np.array(prob, dtype=np.float64)
+        self._alias = np.array(alias, dtype=np.int64)
 
     def draw(self, rng) -> int:
         """One O(1) draw."""

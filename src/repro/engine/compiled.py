@@ -524,9 +524,7 @@ class CompiledWheel:
     # incremental recompilation (the delta path behind versioned wheels
     # in repro.service.registry)
     # ------------------------------------------------------------------
-    def apply_updates(
-        self, indices, values, *, new_values: Optional[np.ndarray] = None
-    ) -> "CompiledWheel":
+    def apply_updates(self, indices, values) -> "CompiledWheel":
         """Copy-on-write clone with ``values[indices]`` replaced.
 
         Instead of the full registration path (content hashing plus
@@ -547,18 +545,12 @@ class CompiledWheel:
         ----------
         indices, values:
             The delta; duplicates resolve last-wins, validation is
-            atomic (bounds, finite, non-negative).
-        new_values:
-            Optional precomputed result vector (e.g. from a
-            :class:`repro.core.dynamic.FenwickSampler` mirror that
-            already applied the same delta); skips the copy+scatter.
+            atomic (bounds, finite, non-negative).  A result with every
+            value zero raises ``DegenerateFitnessError``.
         """
         uniq, vals_u = _canonical_delta(indices, values, self.n)
-        if new_values is None:
-            f = np.array(self.fitness.values)  # writable copy
-            f[uniq] = vals_u
-        else:
-            f = np.asarray(new_values, dtype=np.float64)
+        f = np.array(self.fitness.values)  # writable copy
+        f[uniq] = vals_u
         new = CompiledWheel.__new__(CompiledWheel)
         new.fitness = FitnessVector(f)  # re-validates; raises on all-zero
         new.method = self.method
@@ -813,9 +805,7 @@ class AcceptanceWheel:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(outs)
 
-    def apply_updates(
-        self, indices, values, *, new_values: Optional[np.ndarray] = None
-    ) -> "AcceptanceWheel":
+    def apply_updates(self, indices, values) -> "AcceptanceWheel":
         """Copy-on-write clone with ``values[indices]`` replaced.
 
         Tracks the running max: O(k) when no patched position lowers the
@@ -825,11 +815,8 @@ class AcceptanceWheel:
         """
         uniq, vals_u = _canonical_delta(indices, values, self.n)
         old = self.fitness.values
-        if new_values is None:
-            f = np.array(old)
-            f[uniq] = vals_u
-        else:
-            f = np.asarray(new_values, dtype=np.float64)
+        f = np.array(old)
+        f[uniq] = vals_u
         lowered = bool(np.any((old[uniq] == self._fmax) & (vals_u < self._fmax)))
         if lowered:
             fmax = None  # the maximum may have moved; re-scan in __init__

@@ -153,8 +153,6 @@ _UPDATE_STATS = (
     "updates",
     "update_hits",
     "delta_recompiles",
-    "update_fenwick",
-    "update_rebuild",
     "max_chain_len",
     "misses",
 )

@@ -29,13 +29,12 @@ every replica while the embedded root keeps every version of a wheel on
 its owning cluster shard.  Versions are copy-on-write: the parent entry
 is never touched, so in-flight draws against the old id stay bitwise
 deterministic.  The new version is built by *incremental recompilation*
-(a :class:`repro.core.dynamic.FenwickSampler` mirror applies the delta —
-per-index tree walks below its measured cutoff, one vectorised rebuild
-above it — and :meth:`repro.engine.CompiledWheel.apply_updates` patches
-the kernel artifacts) instead of the full hash+validate+compile
-registration path.  ``backend="stochastic_acceptance"`` skips
-compilation entirely: the entry serves Lipowski & Lipowska rejection
-sampling and its only derived state is the running max weight.
+(:meth:`repro.engine.CompiledWheel.apply_updates` scatters the delta into
+a copy of the parent's values and patches the kernel artifacts) instead
+of the full hash+validate+compile registration path.
+``backend="stochastic_acceptance"`` skips compilation entirely: the
+entry serves Lipowski & Lipowska rejection sampling and its only derived
+state is the running max weight.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.dynamic import FenwickSampler
 from repro.core.fitness import FitnessVector
 from repro.engine.compiled import (
     AcceptanceWheel,
@@ -55,7 +53,7 @@ from repro.engine.compiled import (
     _canonical_delta,
     wheel_from_bytes,
 )
-from repro.errors import DegenerateFitnessError, UnknownWheelError
+from repro.errors import UnknownWheelError
 
 __all__ = [
     "wheel_digest",
@@ -175,12 +173,10 @@ class _Entry:
     """One cached wheel: the serving artifact plus accounting.
 
     ``parent``/``version`` place the entry in its delta chain (roots are
-    version 0 with no parent).  ``sampler`` is the lazily-built Fenwick
-    mirror that applies deltas for compiled entries; it rides along to
-    the child on update so consecutive updates never rebuild it.
+    version 0 with no parent).
     """
 
-    __slots__ = ("wheel", "method", "policy", "hits", "parent", "version", "sampler")
+    __slots__ = ("wheel", "method", "policy", "hits", "parent", "version")
 
     def __init__(
         self,
@@ -196,7 +192,6 @@ class _Entry:
         self.hits = 0
         self.parent = parent
         self.version = version
-        self.sampler: Optional[FenwickSampler] = None
 
 
 class WheelRegistry:
@@ -257,8 +252,6 @@ class WheelRegistry:
         self.updates = 0
         self.update_hits = 0
         self.delta_recompiles = 0
-        self.update_fenwick = 0
-        self.update_rebuild = 0
         self.max_chain_len = 0
         self.rederives = 0
 
@@ -365,13 +358,12 @@ class WheelRegistry:
         idempotent cache hit (``info["cached"]``) — and never counts as
         an LRU miss, because nothing is looked up by content.
 
-        Incremental recompilation instead of re-registration: a
-        :class:`FenwickSampler` mirror applies the delta (per-index
-        O(log n) tree walks below its measured ``rebuild_cutoff``, one
-        vectorised linear rebuild above it) and the parent's kernel
-        artifacts are patched via
+        Incremental recompilation instead of re-registration: the
+        parent's kernel artifacts are patched via
         :meth:`repro.engine.CompiledWheel.apply_updates` — no content
-        hash, no full validation, no Vose table build.  Acceptance
+        hash and, under the ``auto`` policy, no Vose table build.  A
+        delta that would zero every value raises
+        ``DegenerateFitnessError``.  Acceptance
         (``stochastic_acceptance`` backend) entries skip even that and
         only advance the running max weight.
 
@@ -391,27 +383,7 @@ class WheelRegistry:
                 return new_id, info
         # Build outside the lock, same rationale as register().
         version = entry.version + 1
-        if isinstance(entry.wheel, AcceptanceWheel):
-            new_wheel = entry.wheel.apply_updates(uniq, vals_u)
-            mirror = None
-            used_fenwick = False
-        else:
-            with self._lock:
-                mirror = entry.sampler
-            if mirror is None:
-                mirror = FenwickSampler(entry.wheel.fitness.values)
-                with self._lock:
-                    entry.sampler = mirror
-            mirror = mirror.copy()  # COW: never mutate the parent's mirror
-            used_fenwick = uniq.size < mirror.rebuild_cutoff
-            mirror.update_many(uniq, vals_u)
-            if mirror.total <= 0.0:
-                raise DegenerateFitnessError(
-                    "update would zero every fitness value"
-                )
-            new_wheel = entry.wheel.apply_updates(
-                uniq, vals_u, new_values=mirror.values
-            )
+        new_wheel = entry.wheel.apply_updates(uniq, vals_u)
         with self._lock:
             existing = self._entries.get(new_id)
             if existing is not None:
@@ -420,19 +392,12 @@ class WheelRegistry:
                 info = {"cached": True, "version": existing.version, "parent": wheel_id}
             else:
                 self.updates += 1
-                if isinstance(new_wheel, AcceptanceWheel):
-                    pass
-                else:
+                if not isinstance(new_wheel, AcceptanceWheel):
                     self.delta_recompiles += 1
-                    if used_fenwick:
-                        self.update_fenwick += 1
-                    else:
-                        self.update_rebuild += 1
                 child = _Entry(
                     new_wheel, entry.method, entry.policy,
                     parent=wheel_id, version=version,
                 )
-                child.sampler = mirror
                 self._entries[new_id] = child
                 if version > self.max_chain_len:
                     self.max_chain_len = version
@@ -624,8 +589,6 @@ class WheelRegistry:
                 "updates": self.updates,
                 "update_hits": self.update_hits,
                 "delta_recompiles": self.delta_recompiles,
-                "update_fenwick": self.update_fenwick,
-                "update_rebuild": self.update_rebuild,
                 "max_chain_len": self.max_chain_len,
                 "rederives": self.rederives,
                 "pinned_roots": len(self._pinned),

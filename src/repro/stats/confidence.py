@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = ["wilson_interval", "mean_interval", "standard_errors"]
 
@@ -22,6 +21,8 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.99) -> Tu
         raise ValueError(f"successes {successes} outside [0, {trials}]")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    from scipy import stats as sps
+
     z = float(sps.norm.ppf(0.5 + confidence / 2.0))
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
@@ -50,6 +51,8 @@ def mean_interval(
         raise ValueError(f"variance must be non-negative, got {variance}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    from scipy import stats as sps
+
     z = float(sps.norm.ppf(0.5 + confidence / 2.0))
     half = z * float(np.sqrt(variance / trials))
     return float(mean) - half, float(mean) + half

@@ -24,7 +24,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 
 from repro.core.fitness import validate_fitness
 
@@ -59,6 +58,8 @@ def log_bidding_win_probability_numeric(fitness: Sequence[float], index: int) ->
 
     def integrand(x: float) -> float:
         return fi * math.exp(x * total)
+
+    from scipy import integrate
 
     value, _err = integrate.quad(integrand, -np.inf, 0.0)
     return float(value)
@@ -133,6 +134,8 @@ def independent_win_probability_numeric(fitness: Sequence[float], index: int) ->
 
     def integrand(x: float) -> float:
         return float(np.minimum(x / others, 1.0).prod()) / fi
+
+    from scipy import integrate
 
     value, _err = integrate.quad(integrand, 0.0, fi, limit=200)
     return float(value)

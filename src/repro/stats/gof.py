@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = [
     "GofResult",
@@ -88,6 +87,8 @@ def chi_square_gof(counts: np.ndarray, expected_probs: np.ndarray) -> GofResult:
     dof = int(mask.sum()) - 1
     if dof <= 0:
         return GofResult(statistic=stat, dof=0, p_value=1.0, total=total)
+    from scipy import stats as sps
+
     p = float(sps.chi2.sf(stat, dof))
     return GofResult(statistic=stat, dof=dof, p_value=p, total=total)
 
@@ -103,6 +104,8 @@ def g_test_gof(counts: np.ndarray, expected_probs: np.ndarray) -> GofResult:
     dof = int(mask.sum()) - 1
     if dof <= 0:
         return GofResult(statistic=stat, dof=0, p_value=1.0, total=total)
+    from scipy import stats as sps
+
     p = float(sps.chi2.sf(stat, dof))
     return GofResult(statistic=stat, dof=dof, p_value=p, total=total)
 

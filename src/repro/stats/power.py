@@ -26,7 +26,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = [
     "cohen_w",
@@ -73,6 +72,8 @@ def detection_power(
         raise ValueError(f"need >= 2 categories, got {categories}")
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    from scipy import stats as sps
+
     df = categories - 1
     critical = sps.chi2.ppf(1.0 - alpha, df)
     if effect_w == 0.0:

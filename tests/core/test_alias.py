@@ -65,3 +65,62 @@ class TestDraws:
         assert loop[0] in {0, 1, 2}
         emp = np.bincount(batch, minlength=3) / 30_000
         assert np.allclose(emp, [0.1, 0.3, 0.6], atol=0.02)
+
+
+def _reference_vose(f):
+    """The element-at-a-time NumPy-scalar Vose build the list-based
+    :class:`AliasTable` replaced; kept here as the bitwise oracle."""
+    f = np.asarray(f, dtype=np.float64)
+    n = f.size
+    scaled = (f / f.sum()) * n
+    prob = np.empty(n, dtype=np.float64)
+    alias = np.zeros(n, dtype=np.int64)
+    small = [i for i in range(n) if scaled[i] < 1.0]
+    large = [i for i in range(n) if scaled[i] >= 1.0]
+    scaled = scaled.copy()
+    while small and large:
+        s = small.pop()
+        l = large.pop()  # noqa: E741 - Vose's own names
+        prob[s] = scaled[s]
+        alias[s] = l
+        scaled[l] = (scaled[l] + scaled[s]) - 1.0
+        (small if scaled[l] < 1.0 else large).append(l)
+    for i in large:
+        prob[i] = 1.0
+    for i in small:
+        prob[i] = 1.0 if f[i] > 0.0 else 0.0
+        if f[i] == 0.0 and n > 1:
+            alias[i] = int(np.flatnonzero(f > 0.0)[0])
+    return prob, alias
+
+
+def _adversarial_vectors():
+    rng = np.random.default_rng(7)
+    cases = {}
+    for n in (1, 2, 10, 100, 1000, 100_000):
+        u = rng.random(n)
+        cases[f"uniform-{n}"] = u
+        cases[f"skew-u8-{n}"] = u**8
+        cases[f"pareto-{n}"] = rng.pareto(1.1, n) + 1e-3
+        cases[f"constant-{n}"] = np.full(n, 3.0)
+        zeros = rng.random(n)
+        zeros[rng.random(n) < 0.7] = 0.0
+        zeros[n // 2] = 1.0
+        cases[f"zeros-{n}"] = zeros
+    cases["single"] = np.array([5.0])
+    cases["subnormal"] = np.array([5e-324, 1e-320, 2.5e-310, 0.0, 1e-322])
+    cases["subnormal-vs-huge"] = np.array([5e-324, 1e300, 0.0, 1e-310])
+    cases["table1"] = np.arange(10, dtype=np.float64)
+    return cases
+
+
+class TestBitwiseAgainstReference:
+    _CASES = _adversarial_vectors()
+
+    @pytest.mark.parametrize("f", list(_CASES.values()), ids=list(_CASES))
+    def test_tables_bitwise_equal_to_reference_loop(self, f):
+        table = AliasTable(validate_fitness(f))
+        prob, alias = _reference_vose(f)
+        assert table._prob.dtype == np.float64 and table._alias.dtype == np.int64
+        assert table._prob.tobytes() == prob.tobytes()
+        assert table._alias.tobytes() == alias.tobytes()

@@ -2,7 +2,10 @@
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -70,9 +73,52 @@ class TestDocstrings:
 
 class TestTopLevelSurface:
     def test_top_level_all_resolves(self):
+        listed = dir(repro)
         for name in repro.__all__:
             assert hasattr(repro, name)
+            assert name in listed, name
+
+    def test_unknown_top_level_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_subpackage"):
+            repro.no_such_subpackage  # noqa: B018 - the access is the test
 
     def test_version_is_pep440ish(self):
         parts = repro.__version__.split(".")
         assert len(parts) >= 2 and all(p.isdigit() for p in parts[:2])
+
+
+def _fresh_interpreter(code: str) -> str:
+    """Run ``code`` in a new interpreter on this checkout; its stdout."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return out.stdout.strip()
+
+
+#: Entry points whose cold import must not load SciPy or networkx.
+_LIGHT_ENTRY_POINTS = ["repro", "repro.cli", "repro.service", "repro.engine", "repro.aco.tsp"]
+
+
+class TestColdStart:
+    """Subpackages resolve lazily and SciPy / networkx load only at their
+    call sites, so the serving, engine and colony paths never pay for them."""
+
+    @pytest.mark.parametrize("module_name", _LIGHT_ENTRY_POINTS)
+    def test_import_leaves_out_scipy_and_networkx(self, module_name):
+        loaded = _fresh_interpreter(
+            f"import sys, {module_name}; "
+            "print(sorted(m for m in ('scipy', 'networkx') if m in sys.modules))"
+        )
+        assert loaded == "[]", f"{module_name} loaded {loaded}"
+
+    def test_lazy_names_resolve_in_a_fresh_interpreter(self):
+        # An unresolvable name raises AttributeError, failing the child.
+        unlisted = _fresh_interpreter(
+            "import repro; [getattr(repro, n) for n in repro.__all__]; "
+            "print([n for n in repro.__all__ if n not in dir(repro)])"
+        )
+        assert unlisted == "[]"

@@ -26,6 +26,33 @@ uniforms_for = lambda n: hnp.arrays(  # noqa: E731 - local strategy helper
 )
 
 
+@st.composite
+def distinct_uniforms(draw, n):
+    """``n`` distinct uniforms on ``(0, 1]``, one in each of the ``n``
+    equal-width buckets, in a drawn order.  Distinct by construction:
+    ``hnp.arrays(unique=True)`` rejects a drawn float that is already in
+    the array, and Hypothesis repeats floats often enough that those
+    rejections invalidate many examples."""
+    bucket = np.asarray(draw(st.permutations(range(n))), dtype=np.float64)
+    frac = draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 1.0, exclude_max=True)))
+    return (bucket + (1.0 - frac)) / n
+
+
+@st.composite
+def positive_fitness_vectors(draw):
+    """Fitness vectors with at least one positive entry by construction
+    (no filter, so no example is thrown away for being all zero)."""
+    f = draw(
+        hnp.arrays(
+            dtype=np.float64,
+            shape=st.integers(1, 40),
+            elements=st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+        )
+    )
+    f[draw(st.integers(0, f.size - 1))] = draw(st.floats(1e-3, 1e6))
+    return f
+
+
 class TestProbabilityAlgebra:
     @given(fitness_vectors)
     def test_exact_probabilities_sum_to_one(self, f):
@@ -53,8 +80,10 @@ class TestKeyTransformEquivalence:
     @given(st.data())
     @settings(max_examples=200)
     def test_same_winner_across_transforms(self, data):
-        f = data.draw(fitness_vectors)
-        u = data.draw(uniforms_for(len(f)))
+        # A positive entry and distinct uniforms by construction, so the
+        # guards below reject almost nothing.
+        f = data.draw(positive_fitness_vectors())
+        u = data.draw(distinct_uniforms(len(f)))
         keys_log = log_bid_keys(f, None, uniforms=u)
         keys_gum = gumbel_keys(f, None, uniforms=u)
         assume(not np.all(np.isneginf(keys_log)))

@@ -285,18 +285,6 @@ class TestRegistryUpdate:
         assert stats["versions"] == 10
         assert stats["delta_recompiles"] == 10
 
-    def test_fenwick_vs_rebuild_counters(self):
-        n = 4096
-        reg = WheelRegistry()
-        root, _ = reg.register(np.arange(1.0, n + 1.0))
-        reg.update(root, [1], [3.0])  # far below the cutoff
-        big = np.arange(n // 2)
-        reg.update(root, big, np.full(big.size, 2.0))  # far above it
-        stats = reg.stats()
-        assert stats["update_fenwick"] == 1
-        assert stats["update_rebuild"] == 1
-        assert stats["delta_recompiles"] == 2
-
     def test_update_errors(self):
         reg = WheelRegistry()
         root, _ = reg.register(np.array([1.0, 2.0]))
