@@ -28,7 +28,6 @@ from repro.aco.tsp import (
 )
 from repro.aco.coloring import ColoringColony, ColoringConfig, ColoringInstance
 from repro.aco.qap import QAPColony, QAPConfig, QAPInstance
-from repro.aco.restarts import RestartRun, run_with_restarts
 
 __all__ = [
     "TSPInstance",
@@ -45,6 +44,4 @@ __all__ = [
     "QAPInstance",
     "QAPColony",
     "QAPConfig",
-    "RestartRun",
-    "run_with_restarts",
 ]

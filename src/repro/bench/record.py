@@ -1,7 +1,7 @@
 """One record type for every gate driver behind ``python -m repro bench NAME``.
 
 A driver measures its sections and states its verdicts as a gate list;
-this module owns everything else the seven drivers used to copy:
+this module owns everything else the six drivers used to copy:
 
 * the single schema id :data:`SCHEMA` and the host fingerprint
   (:func:`host_meta`);
@@ -74,7 +74,6 @@ DRIVERS: Dict[str, Tuple[str, str, str]] = {
     "race": ("repro.engine.race_bench", "run_bench_race", "render_bench_race"),
     "aco": ("repro.engine.aco_bench", "run_bench_aco", "render_bench_aco"),
     "serve": ("repro.service.bench", "run_bench_serve", "render_bench_serve"),
-    "tune": ("repro.tune.bench", "run_bench_tune", "render_bench_tune"),
     "select": ("repro.select.bench", "run_bench_select", "render_bench_select"),
     "lab": ("repro.lab.bench", "run_bench_lab", "render_bench_lab"),
 }

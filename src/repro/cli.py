@@ -2,7 +2,7 @@
 
 Runs the paper-reproduction experiments registered in
 :data:`repro.bench.experiments.EXPERIMENTS` and prints their tables, the
-seven gate drivers (``python -m repro bench NAME [--smoke]``, each
+six gate drivers (``python -m repro bench NAME [--smoke]``, each
 recorded in ``BENCH_<NAME>.json``; see :mod:`repro.bench.record`), the
 differential degenerate-wheel audit (``python -m repro audit``, exit 0
 iff zero violations across every backend), the async selection service

@@ -29,7 +29,7 @@ from repro.engine.colony import (
     tsp_lockstep_orders,
     tsp_lockstep_orders_faithful,
 )
-from repro.tune.timers import best_of
+from repro.bench.timers import best_of
 
 __all__ = ["run_bench_aco", "render_bench_aco", "REQUIRED", "SMOKE"]
 
@@ -76,7 +76,7 @@ def _tsp_colony(instance, method: str, n_ants: int, engine: str, seed: int):
 def _time_steps(colony, iterations: int) -> float:
     """Best per-iteration wall time over ``iterations`` colony steps.
 
-    Min-of-reps (``repro.tune.timers.best_of``): the standard throughput
+    Min-of-reps (``repro.bench.timers.best_of``): the standard throughput
     estimator on shared machines — scheduler preemption only ever *adds*
     time, so the minimum is the closest observation to the true cost.
     Each repeat advances the same colony, so pheromone state evolves

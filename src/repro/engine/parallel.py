@@ -43,8 +43,8 @@ __all__ = [
 ]
 
 #: Below this many draws per worker, process startup outweighs the work
-#: on typical hosts.  ``python -m repro bench tune`` reports this host's
-#: measured break-even; pass it as ``min_draws_per_worker`` to use it.
+#: on typical hosts.  Pass a host's measured break-even (pool spawn
+#: seconds over per-draw seconds) as ``min_draws_per_worker`` to use it.
 MIN_DRAWS_PER_WORKER = 250_000
 
 

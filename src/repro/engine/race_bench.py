@@ -6,8 +6,11 @@ across a ``k`` grid up to paper scale (``k = 2**20``), checks the
 measured round-count moments and quantiles against the exact harmonic
 law of :mod:`repro.stats.race_theory`, times the per-step PRAM race at
 the largest shared ``k`` for the speedup gate, and re-runs the fan-out
-to certify byte-identical determinism.  ``python -m repro bench race``
-records the result in ``BENCH_race.json``.
+to certify byte-identical determinism.  It also validates the Las
+Vegas speedup model of :mod:`repro.stats.runtime` on the race itself:
+the speedup curve predicted from an empirical round-count sample must
+match the one predicted from the exact law.  ``python -m repro bench
+race`` records the result in ``BENCH_race.json``.
 """
 
 from __future__ import annotations
@@ -29,17 +32,22 @@ from repro.bench.record import (
     make_record,
     render_gates,
 )
-from repro.engine.races import parallel_round_counts, suggest_race_workers
+from repro.bench.timers import timed
+from repro.engine.races import (
+    parallel_round_counts,
+    sample_round_counts,
+    suggest_race_workers,
+)
 from repro.pram.algorithms.max_random_write import max_random_write_race
 from repro.rng.streams import stream_seeds
 from repro.stats.confidence import mean_interval
-from repro.tune.timers import timed
 from repro.stats.race_theory import (
     expected_rounds,
     paper_bound,
     rounds_quantiles,
     variance_rounds,
 )
+from repro.stats.runtime import RuntimeDistribution, RuntimeSample
 
 __all__ = ["run_bench_race", "render_bench_race", "REQUIRED", "SMOKE"]
 
@@ -60,6 +68,7 @@ REQUIRED = [
     ("results.vector_s_per_trial", NUMBER),
     ("results.determinism_sha256", DIGEST),
     ("results.determinism_rerun_identical", GATE),
+    ("race_law.ok", GATE),
 ]
 
 #: ``--smoke``: 5000 trials over k in {64, 256}, PRAM leg at k = 64.
@@ -70,6 +79,45 @@ GATE_SPEEDUP = 50.0
 
 #: Quantile grid recorded per k.
 _QUANTILES = (0.25, 0.5, 0.75, 0.99)
+
+#: Race size and empirical trials of the speedup-model oracle.
+_RACE_LAW_K = 64
+_RACE_LAW_TRIALS = 20_000
+
+#: The analytic race-law validation is noise-free on the model side;
+#: with 20k empirical trials, 5% bounds ~5 standard errors.
+_RACE_LAW_TOLERANCE = 0.05
+
+
+def _race_law_section(seed: int) -> Dict[str, Any]:
+    """Empirical speedup pipeline vs the exact race round-count law (k = 64)."""
+    k = _RACE_LAW_K
+    rounds = sample_round_counts(k, _RACE_LAW_TRIALS, seed=seed)
+    race_rounds = RuntimeSample(unit="rounds", values=rounds.astype(np.float64))
+    exact = RuntimeDistribution.from_race_law(k)
+    empirical = race_rounds.distribution()
+    grid = (1, 2, 4, 8)
+    exact_curve = exact.speedup_curve(grid)
+    empirical_curve = empirical.speedup_curve(grid)
+    errors = {
+        str(w): abs(empirical_curve[w] - exact_curve[w]) / exact_curve[w]
+        for w in grid
+    }
+    mean_error = abs(empirical.mean() - exact.mean()) / exact.mean()
+    worst = max(max(errors.values()), mean_error)
+    return {
+        "k": k,
+        "trials": race_rounds.count,
+        "exact_mean_rounds": exact.mean(),
+        "analytic_mean_rounds": expected_rounds(k),
+        "empirical_mean_rounds": empirical.mean(),
+        "exact_speedups": {str(w): exact_curve[w] for w in grid},
+        "empirical_speedups": {str(w): empirical_curve[w] for w in grid},
+        "relative_errors": errors,
+        "worst_relative_error": worst,
+        "tolerance": _RACE_LAW_TOLERANCE,
+        "ok": bool(worst <= _RACE_LAW_TOLERANCE),
+    }
 
 
 def run_bench_race(
@@ -89,7 +137,8 @@ def run_bench_race(
     largest ``k`` both the per-step PRAM race and the vectorized kernel
     share; the per-step machine is infeasible far beyond it, which is the
     point).  The fan-out is re-run once to certify the byte-identical
-    determinism contract for fixed ``(seed, workers)``.
+    determinism contract for fixed ``(seed, workers)``, and the speedup
+    model is checked against the exact round-count law at ``k = 64``.
     """
     ks = [int(k) for k in ks]
     if not ks or min(ks) < 1:
@@ -180,9 +229,10 @@ def run_bench_race(
         "determinism_rerun_identical": identical,
         "means_in_ci": sum(e["mean_in_ci"] for e in per_k),
     }
-    sections = {"results": results}
+    sections = {"results": results, "race_law": _race_law_section(seed)}
     gates = [
         gate(sections, "results.determinism_rerun_identical", "==", True, required=True),
+        gate(sections, "race_law.ok", "==", True, required=True),
         gate(sections, "results.means_in_ci", "==", len(per_k)),
         gate(sections, "results.speedup_vs_pram", ">=", GATE_SPEEDUP),
     ]
@@ -191,7 +241,7 @@ def run_bench_race(
 
 def render_bench_race(report: Dict[str, Any]) -> str:
     """One-screen human summary of a race bench report."""
-    c, r = report["config"], report["results"]
+    c, r, law = report["config"], report["results"], report["race_law"]
     lines = [
         f"== race bench: trials={c['trials']}, workers={c['workers']}, "
         f"seed={c['seed']} ==",
@@ -211,6 +261,8 @@ def render_bench_race(report: Dict[str, Any]) -> str:
         f"{1e6 * r['vector_s_per_trial']:.2f} us per trial)",
         f"fan-out determinism: sha256 {r['determinism_sha256'][:16]}..."
         f" re-run identical: {r['determinism_rerun_identical']}",
+        f"speedup model vs exact race law (k={law['k']}): worst error "
+        f"{law['worst_relative_error'] * 100:.2f}%",
         render_gates(report),
     ]
     return "\n".join(lines)

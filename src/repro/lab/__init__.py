@@ -11,7 +11,7 @@ finished (the same trick as the PR 5 content-addressed wheel registry).
 
 Results export as tidy JSON/CSV rows plus a Tables-I/II-style ASCII
 report; the gate drivers behind ``python -m repro bench NAME`` (engine,
-race, aco, tune) are wired in as scenario plugins so a new scenario PR
+race, aco, serve) are wired in as scenario plugins so a new scenario PR
 is a config file under ``examples/lab/``, not a new driver.
 
 Entry point: ``python -m repro lab {run,status,report,clean,scenarios}``;

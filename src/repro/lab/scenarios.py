@@ -12,7 +12,6 @@ race       :func:`repro.engine.race_bench.run_bench_race` (round counts)
 aco        :func:`repro.engine.aco_bench.run_bench_aco` (tours/s)
 serve      :func:`repro.service.bench.measure_scheduler_leg` (draws/s)
 accuracy   :func:`repro.bench.runner.monte_carlo_selection` (Tables I/II)
-tune       :func:`repro.tune.bench.run_bench_tune` (speedup prediction)
 rs         :func:`repro.select.rs.run_rs` (screening PCS / samples)
 lottery    :class:`repro.select.lottery.CommitteeLottery` (marginal err)
 sleep      deterministic-duration no-op (tests, kill-and-resume gate)
@@ -204,38 +203,6 @@ def _accuracy(params: Mapping[str, Any]) -> Dict[str, Any]:
         "tv_distance": mc.tv(method),
         "max_abs_error": mc.max_error(method),
         "gof_pvalue": mc.gof_pvalue(method),
-    }
-
-
-@scenario("tune")
-def _tune(params: Mapping[str, Any]) -> Dict[str, Any]:
-    """One ``bench tune`` point: probe, predict, and gate on this host.
-
-    Exposes the tuner's headline numbers as tidy columns so a lab
-    matrix can sweep seeds or workloads and chart the measured costs
-    and prediction error alongside the other scenarios.  A cell writes
-    nothing outside the lab store.
-    """
-    from repro.bench.record import failed_gates
-    from repro.tune.bench import run_bench_tune
-
-    report = run_bench_tune(
-        seed=int(params.get("seed", 0)),
-        trials=int(params.get("trials", 12)),
-        race_trials=int(params.get("race_trials", 4)),
-        wheel_n=int(params.get("n", 1024)),
-        method=str(params.get("method", "log_bidding")),
-        race_trials_probe=int(params.get("race_trials_probe", 5000)),
-    )
-    cal, sg = report["calibration"], report["speedup_gate"]
-    return {
-        "draw_ns": cal["draw_ns"],
-        "spawn_overhead_ms": cal["spawn_overhead_s"] * 1e3,
-        "min_draws_per_worker": cal["min_draws_per_worker"],
-        "race_law_error": report["predictor"]["worst_relative_error"],
-        "speedup_gate_skipped": "worst_relative_error" not in sg,
-        "speedup_gate_error": sg.get("worst_relative_error", 0.0),
-        "gates_failed": len(failed_gates(report)),
     }
 
 

@@ -17,13 +17,13 @@ The record (``BENCH_select.json``) evaluates the subsystem's claims:
    true best in at least a ``1 - alpha`` fraction of replications.
 
 3. **Parallel-screening speedup leg** — replication fan-out wall-clock
-   at ``1`` vs ``N`` workers against the :func:`repro.tune.sharded_speedup`
-   work-sharing model.  On hosts with fewer than 4 cores the measurement
-   is meaningless (workers time-slice), so the leg auto-skips with the
-   reason recorded — the BENCH_tune discipline.
+   at ``1`` vs ``N`` workers against the
+   :func:`repro.stats.runtime.sharded_speedup` work-sharing model.  On
+   hosts with fewer than 4 cores the measurement is meaningless (workers
+   time-slice), so the leg auto-skips with the reason recorded.
 
-4. **Prediction check** (satellite: tune integration) — screening-round
-   runtimes recorded into a :class:`repro.tune.RuntimeSample` must yield
+4. **Prediction check** — screening-round runtimes recorded into a
+   :class:`repro.stats.runtime.RuntimeSample` must yield
    a distribution whose ``expected_min(W)`` matches a seeded Monte
    Carlo resampling of min-of-``W`` from the same sample.  This
    validates the speedup-curve inputs on every host, with no wall-clock
@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict
 
 import numpy as np
@@ -54,10 +55,11 @@ from repro.bench.record import (
     render_gates,
     skip,
 )
+from repro.bench.timers import best_of
 from repro.rng.streams import derive_seed
 from repro.select.lottery import CommitteeLottery
 from repro.select.rs import make_systems, run_rs
-from repro.tune.sample import RuntimeSample
+from repro.stats.runtime import RuntimeSample, sharded_speedup
 
 __all__ = ["run_bench_select", "render_bench_select", "REQUIRED", "SMOKE"]
 
@@ -192,6 +194,26 @@ def _rs_section(
 
 
 # ----------------------------------------------------------------------
+def _noop() -> int:
+    """Top-level trivial task (must be picklable for the pool probe)."""
+    return 0
+
+
+def _probe_spawn_overhead() -> float:
+    """Serial seconds to stand up one pool worker and run a no-op.
+
+    Times ``ProcessPoolExecutor(max_workers=1)`` end to end — spawn,
+    one round-trip submit, shutdown.  Min-of-reps: preemption only
+    inflates the spawn, never deflates it.
+    """
+
+    def spawn_once() -> None:
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            pool.submit(_noop).result()
+
+    return best_of(spawn_once, repeats=2)
+
+
 def _parallel_section(
     seed: int,
     *,
@@ -202,16 +224,13 @@ def _parallel_section(
     n0: int,
 ) -> Dict[str, Any]:
     """Measured fan-out speedup vs the work-sharing model."""
-    from repro.tune.predictor import sharded_speedup
-    from repro.tune.probes import probe_spawn_overhead
-
     instance = make_systems(n_systems, delta)
     kwargs = dict(alpha=alpha, n0=n0, seed=seed)
     solo = run_rs(instance, replications, workers=1, **kwargs)
     fanned = run_rs(instance, replications, workers=_FANOUT_WORKERS, **kwargs)
     measured = solo["wall_s"] / fanned["wall_s"] if fanned["wall_s"] else 1.0
     # Pool startup is the only modelled overhead; measure it here.
-    overhead = probe_spawn_overhead()
+    overhead = _probe_spawn_overhead()
     predicted = sharded_speedup(
         solo["wall_s"], _FANOUT_WORKERS, overhead_s=overhead
     )
@@ -234,7 +253,7 @@ def _prediction_section(
     """``expected_min`` vs seeded resampling of min-of-W round times.
 
     The distribution built from recorded screening-round runtimes is
-    exactly what :func:`repro.tune.RuntimeDistribution.speedup_curve`
+    exactly what :meth:`repro.stats.runtime.RuntimeDistribution.speedup_curve`
     consumes; resampling min-of-``W`` from the *same* empirical values
     is a noise-free-model / noisy-oracle check that runs identically on
     every host.

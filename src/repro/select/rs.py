@@ -30,8 +30,8 @@ on this repo's stack:
   contract as :func:`repro.engine.parallel.parallel_counts`.
 
 Screening-round wall times are captured as a
-:class:`repro.tune.sample.RuntimeSample`, feeding the Las Vegas
-speedup predictor of :mod:`repro.tune` (the bench's
+:class:`repro.stats.runtime.RuntimeSample`, feeding the Las Vegas
+speedup predictor of :mod:`repro.stats.runtime` (the bench's
 prediction-vs-measurement check lives in :mod:`repro.select.bench`).
 """
 
@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.engine.compiled import CompiledWheel
 from repro.rng.streams import derive_seed
-from repro.tune.sample import RuntimeSample
+from repro.stats.runtime import RuntimeSample
 
 __all__ = [
     "RSInstance",

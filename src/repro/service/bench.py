@@ -65,7 +65,7 @@ from repro.service.protocol import raise_structured
 from repro.service.registry import WheelRegistry, digest_key
 from repro.service.scheduler import BatchConfig, MicroBatchScheduler, NaiveScheduler
 from repro.service.server import SelectionService, start_tcp_server
-from repro.tune.timers import median_of
+from repro.bench.timers import median_of
 
 __all__ = [
     "run_bench_serve",

@@ -8,7 +8,10 @@
   paper's biased independent-roulette baseline (this is how Table II's
   ``1.58e-32`` is computed rather than observed),
 * :mod:`repro.stats.confidence` — Wilson intervals and standard errors
-  used by the Monte-Carlo harness.
+  used by the Monte-Carlo harness,
+* :mod:`repro.stats.runtime` — runtime samples and the Las Vegas
+  speedup model (Truchet, Richoux & Codognet) plus the work-sharing
+  speedup model.
 """
 
 from repro.stats.empirical import EmpiricalDistribution, collect_counts

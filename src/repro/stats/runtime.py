@@ -1,4 +1,4 @@
-"""Las Vegas speedup prediction from runtime distributions.
+"""Runtime samples and Las Vegas speedup prediction.
 
 Truchet, Richoux & Codognet ("Prediction of Parallel Speed-ups for
 Las Vegas Algorithms", PAPERS.md) observe that for a *multi-walk*
@@ -11,18 +11,20 @@ speedup curve is an order statistic of that one distribution:
 
 No parallel measurement is needed to *predict*: capture the sequential
 distribution once (cheap), integrate the min.  The prediction is exact
-for the model's assumptions (iid copies, negligible orchestration cost)
-and the bench gate (``python -m repro bench tune``) quantifies how far
-a real multi-process race deviates.
+for the model's assumptions (iid copies, negligible orchestration cost).
+``python -m repro bench race`` checks the empirical pipeline against
+the exact race round-count law, and ``python -m repro bench select``
+feeds it screening-round wall times.
 
+:class:`RuntimeSample` is the raw material: an append-only collection
+of non-negative observations in a caller-named unit.
 :class:`RuntimeDistribution` is the common representation — an
 ascending support with **log** survival probabilities, built either
-from an empirical :class:`repro.tune.sample.RuntimeSample` or from an
-exact discrete law such as the race round-count pmf of
-:mod:`repro.stats.race_theory`.  Log space matters for the same reason
-it does in ``log_rounds_pmf``: ``Pr[T > t]**W`` underflows linear
-float64 long before the interesting regime (deep tails, large ``W``),
-while ``W * log_sf`` stays finite.
+from an empirical sample or from an exact discrete law such as the race
+round-count pmf of :mod:`repro.stats.race_theory`.  Log space matters
+for the same reason it does in ``log_rounds_pmf``: ``Pr[T > t]**W``
+underflows linear float64 long before the interesting regime (deep
+tails, large ``W``), while ``W * log_sf`` stays finite.
 
 Two analytic anchors the property tests pin down:
 
@@ -32,23 +34,95 @@ Two analytic anchors the property tests pin down:
   ``W`` (the memoryless ideal).
 
 Real restart-style workloads sit between the two.  For *work-sharing*
-parallelism (the engine's ``parallel_counts`` shards a draw budget, no
-racing), the right model is :func:`sharded_speedup`: deterministic
-per-unit work splits perfectly, so the speedup is exactly ``W`` minus
-whatever per-worker startup overhead the spawn probe measured.
+parallelism (a fan-out that shards a fixed budget, no racing), the
+right model is :func:`sharded_speedup`: deterministic per-unit work
+splits perfectly, so the speedup is exactly ``W`` minus whatever pool
+startup overhead was measured.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
-__all__ = [
-    "RuntimeDistribution",
-    "sharded_speedup",
-    "optimal_sharded_workers",
-]
+__all__ = ["RuntimeSample", "RuntimeDistribution", "sharded_speedup"]
+
+
+class RuntimeSample:
+    """Non-negative runtime observations in a caller-named unit.
+
+    Parameters
+    ----------
+    unit:
+        Free-form label for what one observation measures (``"s"`` for
+        wall seconds, ``"rounds"`` for race round counts, ...); it rides
+        into the :class:`RuntimeDistribution`.
+    """
+
+    __slots__ = ("unit", "_values")
+
+    def __init__(self, unit: str = "s", values: Optional[Iterable[float]] = None) -> None:
+        self.unit = str(unit)
+        self._values: list = []
+        if values is not None:
+            self.record_many(values)
+
+    # ------------------------------------------------------------------
+    def record(self, value: float) -> None:
+        """Append one observation."""
+        value = float(value)
+        if not np.isfinite(value) or value < 0.0:
+            raise ValueError(f"runtime observations must be finite and >= 0, got {value}")
+        self._values.append(value)
+
+    def record_many(self, values: Iterable[float]) -> None:
+        """Append a batch of observations."""
+        arr = np.asarray(list(values), dtype=np.float64)
+        if arr.size and (not np.isfinite(arr).all() or (arr < 0.0).any()):
+            raise ValueError("runtime observations must be finite and >= 0")
+        self._values.extend(arr.tolist())
+
+    # ------------------------------------------------------------------
+    @property
+    def count(self) -> int:
+        """Observations recorded so far."""
+        return len(self._values)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Copy of the observations, in recording order."""
+        return np.asarray(self._values, dtype=np.float64)
+
+    @property
+    def mean(self) -> float:
+        """Sample mean (0.0 when empty)."""
+        return float(np.mean(self._values)) if self._values else 0.0
+
+    @property
+    def var(self) -> float:
+        """Unbiased sample variance (0.0 below two observations)."""
+        if len(self._values) < 2:
+            return 0.0
+        return float(np.var(self._values, ddof=1))
+
+    def quantile(self, q: float) -> float:
+        """Empirical ``q`` quantile (inverted-CDF convention)."""
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile must be in [0, 1], got {q}")
+        if not self._values:
+            return 0.0
+        return float(np.quantile(self._values, q, method="inverted_cdf"))
+
+    def distribution(self) -> "RuntimeDistribution":
+        """This sample as a :class:`RuntimeDistribution`."""
+        return RuntimeDistribution.from_samples(self.values, unit=self.unit)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"RuntimeSample(unit={self.unit!r}, count={self.count})"
 
 
 class RuntimeDistribution:
@@ -198,14 +272,15 @@ class RuntimeDistribution:
 def sharded_speedup(
     work_s: float, workers: int, overhead_s: float = 0.0
 ) -> float:
-    """Work-sharing speedup with per-worker startup overhead.
+    """Work-sharing speedup with a fixed pool startup overhead.
 
-    The engine's ``parallel_counts`` model: a draw budget costing
-    ``work_s`` sequentially splits perfectly across ``workers``, but
-    standing up the pool costs ``overhead_s`` per extra worker (the
-    calibrated ``spawn_overhead_s``).  With zero overhead the speedup
-    is exactly ``workers`` — the deterministic-runtime anchor of the
-    property tests.
+    The fan-out model: a budget costing ``work_s`` sequentially splits
+    perfectly across ``workers``, and standing up the pool costs
+    ``overhead_s`` once, whatever the worker count, so the speedup is
+    ``work_s / (overhead_s + work_s / workers)`` with asymptote
+    ``work_s / overhead_s``.  With zero overhead the speedup is exactly
+    ``workers`` — the deterministic-runtime anchor of the property
+    tests.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -217,27 +292,3 @@ def sharded_speedup(
         return 1.0
     return work_s / (overhead_s + work_s / workers)
 
-
-def optimal_sharded_workers(
-    work_s: float,
-    available: int,
-    overhead_s: float = 0.0,
-) -> int:
-    """The worker count minimising modelled time-to-solution under a cap.
-
-    The cost model: one worker runs in-process (``work_s``, no pool);
-    ``W > 1`` workers pay ``overhead_s`` of serial pool startup *per
-    worker* (the parent forks them one by one) plus ``work_s / W`` of
-    sharded work — so the optimum sits near ``sqrt(work / overhead)``
-    and spawning past it makes the job slower.  Scanning
-    ``1..available`` keeps the contract obvious and costs nothing at
-    realistic core counts.
-    """
-    if available < 1:
-        raise ValueError(f"available must be >= 1, got {available}")
-    best_w, best_t = 1, work_s
-    for w in range(2, available + 1):
-        t = overhead_s * w + work_s / w
-        if t < best_t:
-            best_w, best_t = w, t
-    return best_w

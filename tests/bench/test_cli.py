@@ -24,6 +24,14 @@ class TestParser:
             main(["--version"])
         assert exc.value.code == 0
 
+    @pytest.mark.parametrize("argv", [["bench"], ["bench", "tune"]])
+    def test_bench_lists_exactly_the_six_drivers(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be one of engine, race, aco, serve, select, lab" in err
+
 
 class TestExecution:
     def test_worked_example_runs(self, capsys):

@@ -1,4 +1,4 @@
-"""The shared bench record: one validator and its gate rules, all seven drivers."""
+"""The shared bench record: one validator and its gate rules, all six drivers."""
 
 import inspect
 import json
@@ -166,7 +166,7 @@ def test_flipped_certificate_in_results_is_refused(report):
             with pytest.raises(ValueError, match=g["name"]):
                 validate(bad)
             flipped += 1
-    assert flipped or report["bench"] == "engine"
+    assert flipped
 
 
 def test_certificates_stay_required_and_evaluated(report):
@@ -219,15 +219,6 @@ def _with_parallel_leg(r):
     return r
 
 
-def _with_speedup_sweep(r):
-    """A tune record as a 4-core host writes it: the worker sweep measured."""
-    r["speedup_gate"].update(per_worker={"1": {}}, worst_relative_error=0.1)
-    _gates(r)["speedup_gate.worst_relative_error"].update(
-        measured=0.1, met=True, skipped=False, reason=None
-    )
-    return r
-
-
 @pytest.mark.parametrize(
     "name, path, value",
     [
@@ -259,8 +250,6 @@ def test_driver_value_checks(request, name, path, value):
     [
         ("select", _with_parallel_leg, "parallel", "measured_speedup"),
         ("select", _with_parallel_leg, "parallel", "relative_error"),
-        ("tune", _with_speedup_sweep, "speedup_gate", "per_worker"),
-        ("tune", _with_speedup_sweep, "speedup_gate", "worst_relative_error"),
     ],
 )
 def test_measured_sweep_fields_are_required(request, name, measure, section, key):
@@ -270,9 +259,8 @@ def test_measured_sweep_fields_are_required(request, name, measure, section, key
         validate(bad)
 
 
-def test_measured_legs_validate_when_present(select_record, tune_record):
+def test_measured_legs_validate_when_present(select_record):
     validate(_with_parallel_leg(json.loads(json.dumps(select_record))))
-    validate(_with_speedup_sweep(json.loads(json.dumps(tune_record))))
 
 
 def test_gate_helpers():

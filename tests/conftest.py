@@ -79,15 +79,6 @@ def select_record():
 
 
 @pytest.fixture(scope="session")
-def tune_record():
-    from repro.tune.bench import run_bench_tune
-
-    return run_bench_tune(
-        seed=0, trials=3, race_trials=2, wheel_n=128, race_trials_probe=4000
-    )
-
-
-@pytest.fixture(scope="session")
 def serve_record():
     from repro.service.bench import run_bench_serve
 

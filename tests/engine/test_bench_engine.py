@@ -40,6 +40,17 @@ def test_render_bench_summary(report):
     assert "engine bench" in text
     assert "speedup compiled/registry" in text
     assert "results.speedup_compiled_vs_registry" in text
+    assert "determinism: parallel_counts=True" in text
+
+
+def test_determinism_certificate(report):
+    # parallel_counts(workers=None) replays bit for bit and equals an
+    # explicit workers=suggest_workers(size) call.
+    det = report["determinism"]
+    assert det["parallel_counts_identical"] and det["ok"]
+    assert det["resolved_workers"] >= 1
+    cert = next(g for g in report["gates"] if g["name"] == "determinism.ok")
+    assert cert["required"] and cert["met"] is True
 
 
 @pytest.mark.parametrize(
@@ -51,6 +62,9 @@ def test_render_bench_summary(report):
         lambda r: r["results"].pop("stream_counts_s"),
         lambda r: r["results"].update(stream_counts_s=-1.0),
         lambda r: r["results"].update(stream_counts_s="fast"),
+        lambda r: r.pop("determinism"),
+        lambda r: r["determinism"].update(ok=False),
+        lambda r: r["determinism"].update(ok="yes"),
     ],
 )
 def test_validate_bench_rejects_malformed(report, mutate):

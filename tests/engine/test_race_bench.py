@@ -40,6 +40,24 @@ def test_speedup_gate_holds_even_tiny(report):
     assert speedup["met"] is True and not speedup["required"]
 
 
+def test_race_law_oracle_holds(report):
+    # The noise-free speedup-model check passes on any host: the
+    # empirical pipeline against the analytic round-count pmf.
+    law = report["race_law"]
+    assert law["ok"], law
+    assert law["k"] == 64 and law["trials"] == 20_000
+    assert law["worst_relative_error"] <= law["tolerance"] == 0.05
+    oracle = next(g for g in report["gates"] if g["name"] == "race_law.ok")
+    assert oracle["required"] and oracle["met"] is True
+
+
+def test_race_law_oracle_is_seeded(report):
+    # sample_round_counts(64, 20_000, seed=0): the value is bit for bit
+    # the one the speedup-model oracle has always measured at seed 0.
+    assert report["config"]["seed"] == 0
+    assert report["race_law"]["worst_relative_error"] == 0.0019142045945384945
+
+
 def test_write_bench_race_round_trips(tmp_path, report):
     path = write(report, str(tmp_path / "BENCH_race.json"))
     with open(path, encoding="utf-8") as fh:
@@ -53,6 +71,7 @@ def test_render_bench_race_summary(report):
     assert "race bench" in text
     assert "speedup vs per-step PRAM" in text
     assert "determinism" in text
+    assert "exact race law" in text
 
 
 @pytest.mark.parametrize(
@@ -67,6 +86,9 @@ def test_render_bench_race_summary(report):
         lambda r: r["results"].update(speedup_vs_pram=-1.0),
         lambda r: r["results"].update(determinism_sha256="short"),
         lambda r: r["results"].update(determinism_rerun_identical=False),
+        lambda r: r.pop("race_law"),
+        lambda r: r["race_law"].update(ok=False),
+        lambda r: r["race_law"].update(ok="yes"),
     ],
 )
 def test_validate_bench_race_rejects_malformed(report, mutate):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.select.rs import RSInstance, make_systems, run_rs, screen
-from repro.tune.sample import RuntimeSample
+from repro.stats.runtime import RuntimeSample
 
 
 class TestMakeSystems:

@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.stats.race_theory import expected_rounds, log_rounds_pmf
-from repro.tune.predictor import (
-    RuntimeDistribution,
-    optimal_sharded_workers,
-    sharded_speedup,
-)
+from repro.stats.runtime import RuntimeDistribution, sharded_speedup
 
 runtime_samples = st.lists(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
@@ -121,15 +117,6 @@ def test_sharded_speedup_overhead_penalty():
         sharded_speedup(1.0, 0)
     with pytest.raises(ValueError):
         sharded_speedup(1.0, 2, overhead_s=-1.0)
-
-
-def test_optimal_sharded_workers_tracks_overhead():
-    assert optimal_sharded_workers(1.0, 8, overhead_s=0.0) == 8
-    assert optimal_sharded_workers(1.0, 8, overhead_s=10.0) == 1
-    # t(W) = 0.01 W + 1/W is minimised at W = 10.
-    assert optimal_sharded_workers(1.0, 32, overhead_s=0.01) == 10
-    with pytest.raises(ValueError):
-        optimal_sharded_workers(1.0, 0)
 
 
 def test_distribution_validation():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.tune.sample import RuntimeSample
+from repro.stats.runtime import RuntimeSample
 
 
 def test_record_and_stats():
