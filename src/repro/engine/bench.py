@@ -19,7 +19,7 @@ from repro.bench.timers import timed
 from repro.core.fitness import validate_fitness
 from repro.core.methods.base import get_method
 from repro.engine.compiled import DEFAULT_CHUNK_BYTES, CompiledWheel
-from repro.engine.parallel import parallel_counts, suggest_workers
+from repro.engine.parallel import MIN_DRAWS_PER_WORKER, parallel_counts, suggest_workers
 
 __all__ = ["run_bench", "render_bench", "REQUIRED", "SMOKE"]
 
@@ -49,8 +49,9 @@ GATE_SPEEDUP = 3.0
 
 def _determinism_section(f, *, seed: int, method: str) -> Dict[str, Any]:
     """The certificate: ``workers=None`` is a pure choice."""
-    # workers=None picks suggest_workers(size) on both calls.
-    size = 200_000
+    # workers=None picks suggest_workers(size) on both calls; at two
+    # workers' worth of draws a host with 2+ CPUs fans out to processes.
+    size = 2 * MIN_DRAWS_PER_WORKER
     c1 = parallel_counts(f, size, method=method, seed=seed)
     c2 = parallel_counts(f, size, method=method, seed=seed)
     resolved_workers = suggest_workers(size)

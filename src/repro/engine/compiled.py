@@ -240,12 +240,8 @@ class CompiledWheel:
     def _precompute(self) -> None:
         f = self.fitness.values
         self.n = self.fitness.n
-        self._zero_mask = f == 0.0
-        self._has_zeros = bool(self._zero_mask.any())
+        self._set_masks()
         if self.kernel == "race":
-            positive = f[~self._zero_mask]
-            self._clamp_low = bool(positive.size and positive.min() < _CLAMP_THRESHOLD)
-            self._positive_mask = ~self._zero_mask
             if self.method == "gumbel":
                 with np.errstate(divide="ignore"):
                     self._log_f = np.log(f)
@@ -256,6 +252,22 @@ class CompiledWheel:
             self._prefix = self.fitness.prefix_sums
         elif self.kernel == "alias":
             self._table = AliasTable(f)
+
+    def _set_masks(self) -> None:
+        """Derive the zero bookkeeping from the fitness values.
+
+        Every kernel keeps ``_has_zeros``; only the race kernel keeps the
+        O(n) masks its key transforms read.  The lookup kernels test
+        ``f[idx] == 0.0`` on their draws instead.
+        """
+        f = self.fitness.values
+        zero = f == 0.0
+        self._has_zeros = bool(zero.any())
+        if self.kernel == "race":
+            self._zero_mask = zero
+            self._positive_mask = ~zero
+            positive = f[self._positive_mask]
+            self._clamp_low = bool(positive.size and positive.min() < _CLAMP_THRESHOLD)
 
     # ------------------------------------------------------------------
     @property
@@ -561,15 +573,8 @@ class CompiledWheel:
             new.kernel = "searchsorted"
         else:
             new.kernel = self.kernel
-        fv = new.fitness.values
-        new._zero_mask = fv == 0.0
-        new._has_zeros = bool(new._zero_mask.any())
+        new._set_masks()
         if new.kernel == "race":
-            positive = fv[~new._zero_mask]
-            new._clamp_low = bool(
-                positive.size and positive.min() < _CLAMP_THRESHOLD
-            )
-            new._positive_mask = ~new._zero_mask
             # Patch the key constants at the touched indices only; the
             # elementwise transforms make the patch bitwise identical
             # to a full recompute.
@@ -586,7 +591,7 @@ class CompiledWheel:
         elif new.kernel == "searchsorted":
             new._prefix = new.fitness.prefix_sums
         else:
-            new._table = AliasTable(fv)
+            new._table = AliasTable(new.fitness.values)
         return new
 
     # ------------------------------------------------------------------
@@ -618,9 +623,10 @@ class CompiledWheel:
     def __setstate__(self, state: Dict[str, object]) -> None:
         """Restore without recomputing any table (``_precompute`` is not run).
 
-        Only the O(n) boolean masks are rederived from the fitness
-        values; the expensive artifacts — the Vose alias table, prefix
-        sums, per-method key constants — come straight from ``state``.
+        Only the zero bookkeeping (:meth:`_set_masks`) is rederived from
+        the fitness values; the expensive artifacts — the Vose alias
+        table, prefix sums, per-method key constants — come straight
+        from ``state``.
         """
         if state.get("format") != WHEEL_FORMAT:
             raise ValueError(
@@ -632,14 +638,9 @@ class CompiledWheel:
         self.kernel = str(state["kernel"])
         self.policy = str(state.get("policy", state["kernel"]))
         self.chunk_bytes = int(state["chunk_bytes"])  # type: ignore[arg-type]
-        f = self.fitness.values
         self.n = self.fitness.n
-        self._zero_mask = f == 0.0
-        self._has_zeros = bool(self._zero_mask.any())
+        self._set_masks()
         if self.kernel == "race":
-            positive = f[~self._zero_mask]
-            self._clamp_low = bool(positive.size and positive.min() < _CLAMP_THRESHOLD)
-            self._positive_mask = ~self._zero_mask
             if "log_f" in state:
                 self._log_f = np.asarray(state["log_f"], dtype=np.float64)
             if "inv_f" in state:

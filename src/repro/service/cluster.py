@@ -8,7 +8,7 @@ stamps auto-seeds and correlates: it forwards each request dict to the
 owning shard and returns the shard's response dict, so a cluster answers
 every request — errors included — exactly as one process does.
 
-The three structural pieces:
+The four structural pieces:
 
 * **Consistent-hash routing** (:class:`HashRing`): every ``wheel_id``
   maps to exactly one shard, so a wheel compiles on one worker and all
@@ -19,6 +19,13 @@ The three structural pieces:
   (:class:`~repro.service.shm.SharedWheelStore`): workers dedupe
   compilation through a write-once blob store of
   ``CompiledWheel.to_bytes`` exports living in shared memory.
+* **One event-loop channel per shard**: a ``socket.socketpair`` whose
+  ends both run as asyncio streams carrying length-prefixed pickled
+  ``(tag, dict)`` messages.  The front end writes a request and awaits
+  the future its reader resolves by tag; the shard reads requests and
+  starts each as a task, so back-to-back draws coalesce in its
+  micro-batcher.  No thread touches either loop, and EOF on a shard's
+  stream is what marks the shard lost.
 * **Determinism per shard**: a request's draws are the pure function
   ``request_stream(service_seed, wheel_key, request_seed)`` of data that
   never depends on which worker executes or how requests coalesce — so
@@ -38,7 +45,9 @@ import asyncio
 import bisect
 import hashlib
 import multiprocessing as mp
-import threading
+import pickle
+import socket
+import struct
 import time
 from typing import Any, Dict, List, Optional
 
@@ -91,29 +100,47 @@ class HashRing:
 
 
 # ----------------------------------------------------------------------
+# Shard channel
+# ----------------------------------------------------------------------
+
+# A message is a u32 body length, then the pickled ``(tag, dict)``.
+# Pickle, not the client frame codec: the channel must carry every
+# request the dict API accepts (seeds past 2**63, ids that are not u64,
+# ``n = 0``) so that a shard answers it as a single process would.
+_LENGTH = struct.Struct("!I")
+
+
+def _message(tag: int, payload: Optional[Dict[str, Any]]) -> bytes:
+    body = pickle.dumps((tag, payload), protocol=pickle.HIGHEST_PROTOCOL)
+    return _LENGTH.pack(len(body)) + body
+
+
+async def _read_message(reader: "asyncio.StreamReader"):
+    """The next ``(tag, dict)``; ``IncompleteReadError`` at EOF."""
+    (size,) = _LENGTH.unpack(await reader.readexactly(_LENGTH.size))
+    return pickle.loads(await reader.readexactly(size))
+
+
+# ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
 
 
-def _worker_main(conn, *args: Any) -> None:
+def _worker_main(sock: socket.socket, *args: Any) -> None:
     """Entry point of one shard process (must stay importable for spawn).
 
-    ``args`` are :func:`_worker_loop`'s after the pipe.
+    ``args`` are :func:`_worker_loop`'s after the socket.
     """
     try:
-        asyncio.run(_worker_loop(conn, *args))
+        asyncio.run(_worker_loop(sock, *args))
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         pass
     finally:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover
-            pass
+        sock.close()
 
 
 async def _worker_loop(
-    conn,
-    shard_id: int,
+    sock: socket.socket,
     seed: int,
     config: Optional[BatchConfig],
     max_wheels: int,
@@ -122,45 +149,28 @@ async def _worker_loop(
 ) -> None:
     """Answer forwarded requests through the shard's own :class:`SelectionService`.
 
-    The pipe carries ``(tag, request dict)`` in and ``(tag, response
-    dict)`` out; a ``None`` request asks the shard to stop.  A pump
-    thread blocks on the pipe and hands each message to the event loop,
-    where it becomes a task awaiting ``handle_request`` — so draws
-    arriving back-to-back coalesce in the shard's micro-batcher exactly
-    as concurrent TCP clients do in a single-process service.
+    The stream carries ``(tag, request dict)`` in and ``(tag, response
+    dict)`` out; a ``None`` request asks the shard to stop.  Each
+    request becomes a task awaiting ``handle_request`` as soon as it is
+    read, so draws arriving back-to-back coalesce in the shard's
+    micro-batcher exactly as concurrent TCP clients do in a
+    single-process service.
     """
     store = SharedWheelStore(path=store_path) if store_path else None
     service = SelectionService(
         seed=seed, config=config, max_wheels=max_wheels, policy=policy, store=store
     )
-    loop = asyncio.get_running_loop()
-    inbox: "asyncio.Queue" = asyncio.Queue()
-
-    def pump() -> None:
-        while True:
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                msg = None
-            try:
-                loop.call_soon_threadsafe(inbox.put_nowait, msg)
-            except RuntimeError:  # pragma: no cover - loop already gone
-                return
-            if msg is None or msg[1] is None:
-                return
-
-    threading.Thread(target=pump, name=f"shard{shard_id}-pump", daemon=True).start()
-
+    reader, writer = await asyncio.open_connection(sock=sock)
     tasks: set = set()
 
     async def serve_one(tag: int, request: Dict[str, Any]) -> None:
-        conn.send((tag, await service.handle_request(request)))
+        writer.write(_message(tag, await service.handle_request(request)))
 
     while True:
-        msg = await inbox.get()
-        if msg is None:
-            break
-        tag, request = msg
+        try:
+            tag, request = await _read_message(reader)
+        except (asyncio.IncompleteReadError, OSError):
+            break  # the front end is gone
         if request is None:
             # Flush in-flight micro-batches, let their reply tasks run,
             # then acknowledge — the parent holds the drain barrier on
@@ -168,14 +178,16 @@ async def _worker_loop(
             await service.close()
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
+            writer.write(_message(tag, ok_response()))
             try:
-                conn.send((tag, ok_response()))
-            except (BrokenPipeError, OSError):  # pragma: no cover
+                await writer.drain()
+            except OSError:  # pragma: no cover - the front end is gone
                 pass
             break
-        task = loop.create_task(serve_one(tag, request))
+        task = asyncio.create_task(serve_one(tag, request))
         tasks.add(task)
         task.add_done_callback(tasks.discard)
+    writer.close()
     if store is not None:
         store.close()
 
@@ -186,17 +198,18 @@ async def _worker_loop(
 
 
 class _Shard:
-    """Parent-side handle on one worker: pipe, process, in-flight map."""
+    """Parent-side handle on one worker: stream, process, in-flight map."""
 
-    __slots__ = ("index", "conn", "proc", "outstanding", "routed", "reader", "lost")
+    __slots__ = ("index", "sock", "proc", "outstanding", "routed", "writer", "reader", "lost")
 
-    def __init__(self, index: int, conn, proc) -> None:
+    def __init__(self, index: int, sock: socket.socket, proc) -> None:
         self.index = index
-        self.conn = conn
+        self.sock = sock
         self.proc = proc
         self.outstanding: Dict[int, "asyncio.Future"] = {}
         self.routed = 0
-        self.reader: Optional[threading.Thread] = None
+        self.writer: Optional["asyncio.StreamWriter"] = None
+        self.reader: Optional["asyncio.Task"] = None
         self.lost = False
 
     def lost_error(self) -> ServiceError:
@@ -212,8 +225,8 @@ class ClusterService:
     the owning shard's :class:`SelectionService` and its response comes
     back as that service wrote it, so answers — errors included — are
     the single-process ones.  Construct it *before* any event loop is
-    running (workers are forked/spawned in ``__init__``); the reader
-    threads attach lazily to the loop of the first served request.
+    running (workers are forked/spawned in ``__init__``); the shard
+    streams open on the loop of the first request that reaches a shard.
 
     Parameters
     ----------
@@ -262,67 +275,43 @@ class ClusterService:
         self._request_counter = 0
         self._draining = False
         self._closed = False
-        self._loop: Optional["asyncio.AbstractEventLoop"] = None
+        self._opened: Optional["asyncio.Task"] = None
         try:
             for index in range(self.workers):
-                parent_conn, child_conn = ctx.Pipe(duplex=True)
+                parent_sock, child_sock = socket.socketpair()
                 proc = ctx.Process(
                     target=_worker_main,
-                    args=(child_conn, index, self.seed, self.config, max_wheels,
+                    args=(child_sock, self.seed, self.config, max_wheels,
                           self.policy, self.store.path),
                     name=f"repro-shard-{index}",
                     daemon=True,
                 )
                 proc.start()
-                child_conn.close()
-                self._shards.append(_Shard(index, parent_conn, proc))
+                child_sock.close()
+                self._shards.append(_Shard(index, parent_sock, proc))
         except BaseException:
             self._terminate()
             raise
 
     # ------------------------------------------------------------------
-    def _ensure_started(self) -> None:
-        """Attach reader threads to the running loop (idempotent)."""
-        loop = asyncio.get_running_loop()
-        if self._loop is None:
-            self._loop = loop
-        elif self._loop is not loop:
-            raise ServiceError(
-                "ClusterService is bound to the event loop of its first "
-                "request; serve it from one loop"
-            )
+    async def _open(self) -> None:
+        """Open every shard stream and start its reply reader."""
         for shard in self._shards:
-            if shard.reader is None:
-                shard.reader = threading.Thread(
-                    target=self._read_replies,
-                    args=(shard, loop),
-                    name=f"shard{shard.index}-replies",
-                    daemon=True,
-                )
-                shard.reader.start()
+            reader, shard.writer = await asyncio.open_connection(sock=shard.sock)
+            shard.reader = asyncio.get_running_loop().create_task(
+                self._read_replies(shard, reader)
+            )
 
-    def _read_replies(self, shard: _Shard, loop) -> None:
-        while True:
-            try:
-                tag, response = shard.conn.recv()
-            except (EOFError, OSError):
-                break
-            try:
-                loop.call_soon_threadsafe(self._resolve, shard, tag, response)
-            except RuntimeError:  # pragma: no cover - loop closed at exit
-                return
+    async def _read_replies(self, shard: _Shard, reader: "asyncio.StreamReader") -> None:
         try:
-            loop.call_soon_threadsafe(self._lose, shard)
-        except RuntimeError:  # pragma: no cover - loop closed at exit
+            while True:
+                tag, response = await _read_message(reader)
+                future = shard.outstanding.pop(tag, None)
+                if future is not None and not future.done():
+                    future.set_result(response)
+        except (asyncio.IncompleteReadError, OSError):
             pass
-
-    def _resolve(self, shard: _Shard, tag: int, response: Dict[str, Any]) -> None:
-        future = shard.outstanding.pop(tag, None)
-        if future is not None and not future.done():
-            future.set_result(response)
-
-    def _lose(self, shard: _Shard) -> None:
-        """The shard's pipe reached EOF: fail what it still owed."""
+        # EOF: the shard is gone; fail what it still owed.
         shard.lost = True
         for future in shard.outstanding.values():
             if not future.done():
@@ -330,20 +319,26 @@ class ClusterService:
         shard.outstanding.clear()
 
     async def _call(self, shard: _Shard, request: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-        self._ensure_started()
+        loop = asyncio.get_running_loop()
+        if self._opened is None:
+            # Every stream opens once, in one task, before the first
+            # send: concurrent first requests all wait on that task.
+            self._opened = loop.create_task(self._open())
+        elif self._opened.get_loop() is not loop:
+            raise ServiceError(
+                "ClusterService is bound to the event loop of its first "
+                "request; serve it from one loop"
+            )
+        if not self._opened.done():
+            await asyncio.shield(self._opened)
+        self._opened.result()
         if shard.lost:
             raise shard.lost_error()
         self._tag += 1
-        tag = self._tag
-        future = asyncio.get_running_loop().create_future()
-        shard.outstanding[tag] = future
-        try:
-            shard.conn.send((tag, request))
-        except BaseException as exc:
-            del shard.outstanding[tag]
-            if isinstance(exc, OSError):  # the shard's end is gone
-                raise shard.lost_error() from exc
-            raise
+        message = _message(self._tag, request)
+        future = loop.create_future()
+        shard.outstanding[self._tag] = future
+        shard.writer.write(message)
         return await future
 
     def _shard_for(self, request: Dict[str, Any]) -> _Shard:
@@ -511,10 +506,10 @@ class ClusterService:
             if shard.proc.is_alive():
                 shard.proc.terminate()
                 shard.proc.join(timeout=2.0)
-            try:
-                shard.conn.close()
-            except OSError:  # pragma: no cover
-                pass
+            if shard.writer is not None:
+                shard.writer.close()
+            else:
+                shard.sock.close()
         self.store.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

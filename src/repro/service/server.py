@@ -27,6 +27,7 @@ refusal instead of a dropped connection.
 from __future__ import annotations
 
 import asyncio
+import collections
 import sys
 from typing import Any, Dict, Optional
 
@@ -197,15 +198,27 @@ async def _serve_json_connection(
         await writer.drain()
 
 
+#: Requests one framed connection may have in flight; past it the
+#: server stops reading that connection's frames until replies go out.
+MAX_IN_FLIGHT = 64
+
+
 async def _serve_framed_connection(
     service, reader, writer, max_frame_bytes: int, first_byte: bytes
 ) -> None:
-    """Binary frames until EOF.
+    """Binary frames until EOF, pipelined.
+
+    The connection keeps reading frames while earlier ones are served,
+    up to :data:`MAX_IN_FLIGHT` at a time.  Each request starts as a
+    task in arrival order — so admission, auto-seeds and an UPDATE's
+    registry write happen in the order the client sent them — and
+    replies are written in request order.
 
     Malformed frame *bodies* are answered with ERROR frames and the
     connection continues (framing stays synchronized because the body
     length was already consumed); an unparseable *header* is fatal for
-    the connection since resynchronization is impossible.
+    the connection since resynchronization is impossible: the requests
+    before it are answered, then the ERROR, then the connection closes.
 
     A client HELLO that carries an explicit ``features`` list *pins* the
     connection: feature-gated frame types (``UPDATE`` requires
@@ -214,62 +227,76 @@ async def _serve_framed_connection(
     servers coexist.  Connections that skip HELLO are unpinned and may
     send anything.
     """
+    loop = asyncio.get_running_loop()
+    # One ``[frame, task]`` cell per request in request order; a cell's
+    # frame is None until its response is encoded.
+    replies: "collections.deque[list]" = collections.deque()
+    written: Optional["asyncio.Future"] = None
+
+    def flush() -> None:
+        """Write every encoded reply at the head of the line."""
+        while replies and replies[0][0] is not None:
+            frame = replies.popleft()[0]
+            if not writer.is_closing():  # else the client is gone
+                writer.write(frame)
+        if written is not None and not written.done():
+            written.set_result(None)
+
+    def reply(frame: bytes) -> None:
+        replies.append([frame, None])
+        flush()
+
+    async def serve(cell: list, request: Dict[str, Any]) -> None:
+        cell[0] = frames_mod.response_to_frame(await service.handle_request(request))
+        flush()
+
+    async def settle(limit: int) -> None:
+        """Wait until at most ``limit`` replies are unwritten."""
+        nonlocal written
+        while len(replies) > limit:
+            written = loop.create_future()
+            await written
+
     pinned_features = None
     while True:
+        await settle(MAX_IN_FLIGHT - 1)
+        await writer.drain()
         try:
             frame = await frames_mod.read_frame(
                 reader, max_body_bytes=max_frame_bytes, first_byte=first_byte
             )
         except ProtocolError as exc:
-            writer.write(frames_mod.response_to_frame(error_response(exc)))
-            await writer.drain()
+            reply(frames_mod.response_to_frame(error_response(exc)))
             break
         first_byte = b""
         if frame is None:
             break
         ftype, body, request_id = frame
-        if ftype == frames_mod.FT_HELLO:
-            if body:
-                try:
-                    hello = frames_mod._parse_kvmap(body)
-                except ProtocolError as exc:
-                    writer.write(
-                        frames_mod.response_to_frame(
-                            error_response(exc, request_id)
-                        )
-                    )
-                    await writer.drain()
-                    continue
-                features = hello.get("features")
+        try:
+            if ftype == frames_mod.FT_HELLO:
+                features = frames_mod._parse_kvmap(body).get("features") if body else None
                 if isinstance(features, list):
                     pinned_features = {f for f in features if isinstance(f, str)}
-            writer.write(frames_mod.hello_frame(PROTOCOL_VERSION, request_id))
-            await writer.drain()
-            continue
-        needed = frames_mod.required_feature(ftype)
-        if (
-            needed is not None
-            and pinned_features is not None
-            and needed not in pinned_features
-        ):
-            exc = ProtocolError(
-                f"frame type {ftype:#04x} requires feature {needed!r}, "
-                f"absent from this connection's HELLO"
-            )
-            writer.write(frames_mod.response_to_frame(error_response(exc, request_id)))
-            await writer.drain()
-            continue
-        try:
+                reply(frames_mod.hello_frame(PROTOCOL_VERSION, request_id))
+                continue
+            needed = frames_mod.required_feature(ftype)
+            if (
+                needed is not None
+                and pinned_features is not None
+                and needed not in pinned_features
+            ):
+                raise ProtocolError(
+                    f"frame type {ftype:#04x} requires feature {needed!r}, "
+                    f"absent from this connection's HELLO"
+                )
             request = frames_mod.frame_to_request(ftype, body, request_id)
         except ProtocolError as exc:
-            writer.write(
-                frames_mod.response_to_frame(error_response(exc, request_id))
-            )
-            await writer.drain()
+            reply(frames_mod.response_to_frame(error_response(exc, request_id)))
             continue
-        response = await service.handle_request(request)
-        writer.write(frames_mod.response_to_frame(response))
-        await writer.drain()
+        cell = [None, None]
+        replies.append(cell)
+        cell[1] = loop.create_task(serve(cell, request))
+    await settle(0)
 
 
 async def _handle_connection(

@@ -1,6 +1,7 @@
 """BENCH_engine.json: produced, validated, rendered, persisted."""
 
 import json
+import os
 
 import pytest
 
@@ -48,7 +49,8 @@ def test_determinism_certificate(report):
     # explicit workers=suggest_workers(size) call.
     det = report["determinism"]
     assert det["parallel_counts_identical"] and det["ok"]
-    assert det["resolved_workers"] >= 1
+    # Sized at two workers' worth of draws, so it fans out where it can.
+    assert det["resolved_workers"] >= min(2, os.cpu_count() or 1)
     cert = next(g for g in report["gates"] if g["name"] == "determinism.ok")
     assert cert["required"] and cert["met"] is True
 

@@ -121,6 +121,19 @@ def test_single_item_wheel_always_zero(kernel):
     assert compiled.select(rng=np.random.default_rng(1)) == 0
 
 
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_zero_masks_live_on_race_wheels_only(fitness, kernel):
+    """The lookup kernels never read the O(n) masks, so they keep none —
+    after compile, after an update and after a round trip alike."""
+    method = {"race": "log_bidding", "searchsorted": "binary_search", "alias": "alias"}
+    compiled = CompiledWheel(fitness, method[kernel], kernel=kernel)
+    updated = compiled.apply_updates([2], [0.0])
+    for wheel in (compiled, updated, CompiledWheel.from_bytes(compiled.to_bytes())):
+        assert wheel._has_zeros
+        assert hasattr(wheel, "_zero_mask") == (kernel == "race")
+        assert hasattr(wheel, "_positive_mask") == (kernel == "race")
+
+
 @pytest.mark.parametrize("method", ["log_bidding", "efraimidis_spirakis"])
 def test_subnormal_fitness_stays_faithful(method):
     # Positive-but-subnormal fitness exercises the overflow/underflow

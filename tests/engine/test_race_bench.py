@@ -44,11 +44,25 @@ def test_race_law_oracle_holds(report):
     # The noise-free speedup-model check passes on any host: the
     # empirical pipeline against the analytic round-count pmf.
     law = report["race_law"]
-    assert law["ok"], law
     assert law["k"] == 64 and law["trials"] == 20_000
-    assert law["worst_relative_error"] <= law["tolerance"] == 0.05
-    oracle = next(g for g in report["gates"] if g["name"] == "race_law.ok")
+    assert law["worst_relative_error"] <= 0.05
+    assert "ok" not in law and "tolerance" not in law
+    oracle = next(
+        g for g in report["gates"] if g["name"] == "race_law.worst_relative_error"
+    )
     assert oracle["required"] and oracle["met"] is True
+    assert oracle["target"] == "<= 0.05"
+
+
+def test_race_law_gate_rederives_its_verdict(report):
+    # The verdict is re-derived from the error itself: a record whose
+    # error is edited to 0.9 (gate measurement included) fails validate.
+    bad = json.loads(json.dumps(report))
+    bad["race_law"]["worst_relative_error"] = 0.9
+    oracle = next(g for g in bad["gates"] if g["name"] == "race_law.worst_relative_error")
+    oracle["measured"] = 0.9
+    with pytest.raises(ValueError, match="race_law.worst_relative_error"):
+        validate(bad)
 
 
 def test_race_law_oracle_is_seeded(report):
@@ -87,8 +101,8 @@ def test_render_bench_race_summary(report):
         lambda r: r["results"].update(determinism_sha256="short"),
         lambda r: r["results"].update(determinism_rerun_identical=False),
         lambda r: r.pop("race_law"),
-        lambda r: r["race_law"].update(ok=False),
-        lambda r: r["race_law"].update(ok="yes"),
+        lambda r: r["race_law"].update(worst_relative_error=0.9),
+        lambda r: r["race_law"].update(worst_relative_error="small"),
     ],
 )
 def test_validate_bench_race_rejects_malformed(report, mutate):
