@@ -99,10 +99,12 @@ class ServiceDrainingError(ServiceError):
 
 
 class UnknownWheelError(ServiceError, KeyError):
-    """A wheel id is not (or no longer) present in the registry.
+    """A wheel id was never minted here, or forgotten past the recipe bound.
 
-    Content-addressed ids are stable, so after an LRU eviction the client
-    can simply re-register the same fitness vector and get the same id.
+    LRU eviction never raises this: the registry rebuilds an evicted
+    wheel from its recipe.  Content-addressed ids are stable, so after a
+    wheel is forgotten the client can re-register the same fitness
+    vector (and replay its updates) and get the same ids.
     """
 
 

@@ -126,11 +126,17 @@ async def _read_message(reader: "asyncio.StreamReader"):
 # ----------------------------------------------------------------------
 
 
-def _worker_main(sock: socket.socket, *args: Any) -> None:
+def _worker_main(sock: socket.socket, inherited: List[socket.socket], *args: Any) -> None:
     """Entry point of one shard process (must stay importable for spawn).
 
-    ``args`` are :func:`_worker_loop`'s after the socket.
+    ``inherited`` are the front end's ends of this and every earlier
+    shard's socketpair, which a forked child holds copies of: closing
+    them lets the shard see EOF, and exit, when the front end dies.  A
+    spawned child inherits none and gets an empty list.  ``args`` are
+    :func:`_worker_loop`'s after the socket.
     """
+    for stale in inherited:
+        stale.close()
     try:
         asyncio.run(_worker_loop(sock, *args))
     except KeyboardInterrupt:  # pragma: no cover - interactive only
@@ -279,10 +285,12 @@ class ClusterService:
         try:
             for index in range(self.workers):
                 parent_sock, child_sock = socket.socketpair()
+                inherited = [s.sock for s in self._shards] + [parent_sock]
                 proc = ctx.Process(
                     target=_worker_main,
-                    args=(child_sock, self.seed, self.config, max_wheels,
-                          self.policy, self.store.path),
+                    args=(child_sock, inherited if start_method == "fork" else [],
+                          self.seed, self.config, max_wheels, self.policy,
+                          self.store.path),
                     name=f"repro-shard-{index}",
                     daemon=True,
                 )

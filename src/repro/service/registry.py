@@ -1,18 +1,25 @@
-"""Content-addressed wheel registry with LRU-bounded compiled artifacts.
+"""Content-addressed wheel registry: a recipe for every id, compiled wheels in an LRU.
 
 A wheel's identity is the SHA-256 of its *canonicalized* fitness vector
 (contiguous little-endian float64 bytes) together with the selection
 method and kernel policy.  Identity therefore survives the client's
-container type (list, tuple, ndarray of any compatible dtype), process
-restarts, and LRU eviction: re-registering the same wheel always yields
-the same id, which is why eviction is safe to expose to clients.
+container type (list, tuple, ndarray of any compatible dtype) and
+process restarts: re-registering the same wheel always yields the same
+id.
 
-Registration compiles at most once per distinct wheel; subsequent
-registrations are cache hits that only touch the LRU order.  Compiled
-artifacts (alias tables, prefix sums, key constants) can be shipped to
-worker processes via :meth:`WheelRegistry.export` /
-:meth:`WheelRegistry.import_blob` without recompiling, riding on
-:meth:`repro.engine.CompiledWheel.to_bytes`.
+One rule keeps the registry's capacity out of every response: it keeps
+a *recipe* for every id it mints.  A root's recipe is its canonical
+fitness values with ``(method, policy, backend)`` — the resident wheel's
+own values array, so a live root costs no extra bytes.  A version's
+recipe is its ``(parent, delta)``.  ``max_wheels`` bounds only the
+compiled artifacts, with plain LRU eviction, and a miss on any known id
+rebuilds it from its recipe: the root through the shared store or a
+compile, then the recorded deltas replayed oldest first.  Content and
+history addressing make the rebuilt wheel bitwise the evicted one, so no
+draw depends on what the cache held.  Recipes are bounded by
+``max_lineage`` (roots and versions together); past it the
+least-recently-touched root is forgotten with its whole cohort, and only
+then does one of its ids raise :class:`~repro.errors.UnknownWheelError`.
 
 With a :class:`repro.service.shm.SharedWheelStore` attached, the
 compile-once guarantee extends *across processes*: before compiling, a
@@ -26,14 +33,14 @@ applies an ``(indices, values)`` delta to a registered wheel and mints a
 *new* id — ``<root>@<verhex>``, where ``verhex`` hashes the parent id and
 the canonical delta, so the same update history derives the same id on
 every replica while the embedded root keeps every version of a wheel on
-its owning cluster shard.  Versions are copy-on-write: the parent entry
+its owning cluster shard.  Versions are copy-on-write: the parent wheel
 is never touched, so in-flight draws against the old id stay bitwise
 deterministic.  The new version is built by *incremental recompilation*
 (:meth:`repro.engine.CompiledWheel.apply_updates` scatters the delta into
 a copy of the parent's values and patches the kernel artifacts) instead
 of the full hash+validate+compile registration path.
 ``backend="stochastic_acceptance"`` skips compilation entirely: the
-entry serves Lipowski & Lipowska rejection sampling and its only derived
+wheel serves Lipowski & Lipowska rejection sampling and its only derived
 state is the running max weight.
 """
 
@@ -169,44 +176,19 @@ def wheel_tokens(
     return method, str(policy), backend
 
 
-class _Entry:
-    """One cached wheel: the serving artifact plus accounting.
-
-    ``parent``/``version`` place the entry in its delta chain (roots are
-    version 0 with no parent).
-    """
-
-    __slots__ = ("wheel", "method", "policy", "hits", "parent", "version")
-
-    def __init__(
-        self,
-        wheel: Union[CompiledWheel, AcceptanceWheel],
-        method: str,
-        policy: str,
-        parent: Optional[str] = None,
-        version: int = 0,
-    ) -> None:
-        self.wheel = wheel
-        self.method = method
-        self.policy = policy
-        self.hits = 0
-        self.parent = parent
-        self.version = version
-
-
 class WheelRegistry:
-    """LRU cache of compiled wheels keyed by content address.
+    """A recipe for every minted wheel id, with an LRU of compiled wheels.
 
-    Thread-safe: the service runs single-threaded under asyncio, but the
-    registry is also the hand-off point for shipping wheels to worker
-    processes, so every public method takes the internal lock.
+    Thread-safe: the service runs single-threaded under asyncio, but
+    every public method takes the internal lock, and compilation runs
+    outside it.
 
     Parameters
     ----------
     max_wheels:
-        LRU capacity; the least recently used compiled wheel is evicted
-        beyond this.  Content addressing makes eviction recoverable —
-        re-registering reproduces the identical id.
+        LRU capacity of compiled wheels; the least recently used one is
+        evicted beyond this.  Eviction is invisible to clients: a miss on
+        a known id rebuilds the bitwise-identical wheel from its recipe.
     policy:
         Default kernel policy for registrations (``"auto"`` serves the
         fastest distribution-preserving kernel; ``"faithful"`` pins the
@@ -228,20 +210,14 @@ class WheelRegistry:
         self.max_wheels = int(max_wheels)
         self.policy = str(policy)
         self.store = store
-        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
-        # root id -> number of lineage records under it, insertion/touch
-        # ordered.  A pinned root (any lineage) is exempt from LRU
-        # eviction: clients may still hold any version id ever minted
-        # under it, and chain replay bottoms out at the root.
-        self._pinned: "OrderedDict[str, int]" = OrderedDict()
-        # version id -> (parent id, canonical delta).  Deltas are tiny
-        # (k indices + values) and survive entry eviction, so an evicted
-        # version is re-derived by replaying its chain from the nearest
-        # live ancestor instead of erroring.  Bounded by max_lineage:
-        # past it, the least-recently-updated root's whole cohort is
-        # forgotten at once (never a partial chain) and that root
-        # becomes evictable again.
-        self._lineage: Dict[str, Tuple[str, np.ndarray, np.ndarray]] = {}
+        self._wheels: "OrderedDict[str, Union[CompiledWheel, AcceptanceWheel]]" = OrderedDict()
+        # root id -> [values, method, policy, backend, version ids], in
+        # touch order (any lookup, registration or update in the cohort).
+        self._roots: "OrderedDict[str, list]" = OrderedDict()
+        # version id -> (parent id, canonical indices, values, depth).
+        self._lineage: Dict[str, Tuple[str, np.ndarray, np.ndarray, int]] = {}
+        # Recipe bound, roots and versions together: past it the
+        # least-recently-touched root's whole cohort is forgotten.
         self.max_lineage = max(1024, 64 * self.max_wheels)
         self._lock = threading.Lock()
         self.hits = 0
@@ -265,11 +241,12 @@ class WheelRegistry:
     ) -> Tuple[str, bool]:
         """Register (or re-hit) a wheel; returns ``(wheel_id, cached)``.
 
-        Validation and compilation run outside the lock at most once per
-        distinct wheel.  Raises the usual fitness contract errors
-        (``FitnessError`` / ``DegenerateFitnessError``) for invalid
-        vectors and ``UnknownMethodError`` for unknown methods — the
-        service maps these to structured error responses.
+        ``cached`` is true iff the registry already knew the id, whether
+        or not its compiled wheel is resident.  Validation and
+        compilation run outside the lock.  Raises the usual fitness
+        contract errors (``FitnessError`` / ``DegenerateFitnessError``)
+        for invalid vectors and ``UnknownMethodError`` for unknown
+        methods — the service maps these to structured error responses.
 
         ``backend="stochastic_acceptance"`` serves the wheel through the
         update-free rejection sampler instead of a compiled kernel: no
@@ -284,25 +261,21 @@ class WheelRegistry:
         fitness = fitness if isinstance(fitness, FitnessVector) else FitnessVector(fitness)
         wheel_id = wheel_digest(fitness.values, method, policy)
         with self._lock:
-            entry = self._entries.get(wheel_id)
-            if entry is not None:
-                entry.hits += 1
+            if wheel_id in self._wheels:
                 self.hits += 1
-                self._entries.move_to_end(wheel_id)
+                self._insert_locked(wheel_id, self._wheels[wheel_id])
                 return wheel_id, True
         # Compile outside the lock: O(n) table builds must not serialize
         # unrelated lookups.  A racing duplicate registration compiles
         # twice and the second insert wins; ids are identical either way.
         wheel = self._materialize(fitness, method, policy, wheel_id, backend)
         with self._lock:
-            cached = wheel_id in self._entries
+            self.misses += 1
+            cached = wheel_id in self._roots
             if not cached:
-                self.misses += 1
-                self._entries[wheel_id] = _Entry(wheel, str(method), policy)
-                self._evict_locked()
-            else:
-                self.hits += 1
-            self._entries.move_to_end(wheel_id)
+                self._roots[wheel_id] = [None, method, policy, backend, []]
+            self._insert_locked(wheel_id, wheel)
+            self._prune_locked()
             return wheel_id, cached
 
     def _materialize(
@@ -351,12 +324,13 @@ class WheelRegistry:
     ) -> Tuple[str, Dict[str, Any]]:
         """Apply a delta to a registered wheel; returns ``(new_id, info)``.
 
-        Copy-on-write: the parent entry is untouched, so draws already
-        in flight against ``wheel_id`` replay bitwise.  The child id is
+        Copy-on-write: the parent is untouched, so draws already in
+        flight against ``wheel_id`` replay bitwise.  The child id is
         derived from the parent id and the canonical delta
         (:func:`version_id`), so re-sending the same update is an
-        idempotent cache hit (``info["cached"]``) — and never counts as
-        an LRU miss, because nothing is looked up by content.
+        idempotent hit (``info["cached"]``: the registry already knew
+        the id) — and never counts as an LRU miss, because nothing is
+        looked up by content.
 
         Incremental recompilation instead of re-registration: the
         parent's kernel artifacts are patched via
@@ -370,215 +344,161 @@ class WheelRegistry:
         ``info`` carries ``version`` (chain depth), ``parent``, and
         ``cached``.
         """
-        entry = self._touch_or_rederive(wheel_id)
-        uniq, vals_u = _canonical_delta(indices, values, entry.wheel.n)
+        parent = self._lookup(wheel_id, count_hit=False)
+        uniq, vals_u = _canonical_delta(indices, values, parent.n)
         new_id = version_id(wheel_id, uniq, vals_u)
         with self._lock:
-            cached = self._entries.get(new_id)
-            if cached is not None:
-                cached.hits += 1
+            record = self._lineage.get(new_id)
+            if record is not None:
                 self.update_hits += 1
-                self._entries.move_to_end(new_id)
-                info = {"cached": True, "version": cached.version, "parent": wheel_id}
-                return new_id, info
+                self._roots.move_to_end(base_id(new_id))
+                return new_id, {"cached": True, "version": record[3], "parent": wheel_id}
         # Build outside the lock, same rationale as register().
-        version = entry.version + 1
-        new_wheel = entry.wheel.apply_updates(uniq, vals_u)
+        wheel = parent.apply_updates(uniq, vals_u)
         with self._lock:
-            existing = self._entries.get(new_id)
-            if existing is not None:
-                existing.hits += 1
+            parent_record = self._recipe_locked(wheel_id)
+            if parent_record is None:  # pragma: no cover - forgotten mid-build
+                raise self._unknown(wheel_id)
+            record = self._lineage.get(new_id)
+            cached = record is not None
+            if cached:
                 self.update_hits += 1
-                info = {"cached": True, "version": existing.version, "parent": wheel_id}
             else:
+                depth = parent_record[3] + 1 if "@" in wheel_id else 1
+                record = self._lineage[new_id] = (wheel_id, uniq, vals_u, depth)
+                self._roots[base_id(new_id)][4].append(new_id)
                 self.updates += 1
-                if not isinstance(new_wheel, AcceptanceWheel):
-                    self.delta_recompiles += 1
-                child = _Entry(
-                    new_wheel, entry.method, entry.policy,
-                    parent=wheel_id, version=version,
-                )
-                self._entries[new_id] = child
-                if version > self.max_chain_len:
-                    self.max_chain_len = version
-                info = {"cached": False, "version": version, "parent": wheel_id}
-            # The delta outlives the entry: re-derivation replays it if
-            # the child (or an intermediate ancestor) gets evicted.  The
-            # root is (re)pinned against eviction while lineage exists.
-            root = base_id(new_id)
-            if new_id not in self._lineage:
-                self._pinned[root] = self._pinned.get(root, 0) + 1
-            self._lineage[new_id] = (wheel_id, uniq, vals_u)
-            self._pinned.move_to_end(root)
-            self._prune_lineage_locked(keep=root)
-            self._evict_locked()
-            self._entries.move_to_end(new_id)
-            return new_id, info
+                self.max_chain_len = max(self.max_chain_len, depth)
+            if not isinstance(wheel, AcceptanceWheel):
+                self.delta_recompiles += 1
+            self._insert_locked(new_id, wheel)
+            self._prune_locked()
+            return new_id, {"cached": cached, "version": record[3], "parent": wheel_id}
 
-    # ------------------------------------------------------------------
-    def _prune_lineage_locked(self, keep: Optional[str] = None) -> None:
-        """Bound lineage memory: forget whole cohorts, oldest root first.
+    def get(self, wheel_id: str) -> Union[CompiledWheel, AcceptanceWheel]:
+        """The serving wheel for any minted id, refreshing its LRU position.
 
-        Dropping a root's cohort atomically (never a partial chain)
-        preserves the invariant that any lineage record reaches a live
-        root; the dropped root unpins and ages out of the LRU normally.
-        ``keep`` protects the root being updated right now.
-        """
-        while len(self._lineage) > self.max_lineage and len(self._pinned) > 1:
-            oldest = next(iter(self._pinned))
-            if oldest == keep:
-                self._pinned.move_to_end(oldest)
-                oldest = next(iter(self._pinned))
-                if oldest == keep:  # pragma: no cover - single pinned root
-                    break
-            self._pinned.pop(oldest)
-            dead = [k for k in self._lineage if base_id(k) == oldest]
-            for k in dead:
-                del self._lineage[k]
-
-    def _touch_or_rederive(self, wheel_id: str) -> _Entry:
-        """Look up an update/draw target, rebuilding evicted versions.
-
-        Refreshes the entry's LRU slot without counting a content hit or
-        miss (update traffic keeps the cache counters draw-oriented).
-        A missing *versioned* id is re-derived by replaying its recorded
-        delta chain from the nearest live ancestor — the recovery that
-        makes LRU eviction safe for live version chains.
-        """
-        for attempt in (0, 1):
-            with self._lock:
-                entry = self._entries.get(wheel_id)
-                if entry is not None:
-                    entry.hits += 1
-                    self._entries.move_to_end(wheel_id)
-                    return entry
-            if attempt == 0 and not self._replay_chain(wheel_id):
-                break
-        raise UnknownWheelError(
-            f"wheel {wheel_id!r} is not registered (or was evicted); "
-            f"re-register (and replay updates) to restore it"
-        )
-
-    def _replay_chain(self, wheel_id: str) -> bool:
-        """Rebuild an evicted version from its lineage; True on success.
-
-        Walks parent links until a live ancestor, then replays each
-        recorded delta oldest-first through :meth:`update` (which mints
-        bit-identical ids — version ids are history-addressed).  Returns
-        False when the chain is broken (root evicted with no live
-        descendants: its lineage died with it).
-        """
-        if "@" not in wheel_id:
-            return False
-        with self._lock:
-            chain = []
-            cur = wheel_id
-            while cur not in self._entries:
-                rec = self._lineage.get(cur)
-                if rec is None:
-                    return False
-                chain.append((cur, rec))
-                cur = rec[0]
-        for expected_id, (parent, idx, vals) in reversed(chain):
-            minted, _info = self.update(parent, idx, vals)
-            if minted != expected_id:  # pragma: no cover - corrupt lineage
-                return False
-        with self._lock:
-            self.rederives += 1
-        return True
-
-    def get(self, wheel_id: str) -> CompiledWheel:
-        """Look up a compiled wheel, refreshing its LRU position.
-
-        An evicted *versioned* wheel is transparently re-derived from
-        its lineage (delta chain replay from the nearest live ancestor),
-        so UPDATE-then-evict-then-DRAW serves rather than erroring.
+        An evicted wheel is rebuilt from its recipe, bitwise identical.
 
         Raises
         ------
         UnknownWheelError
-            If the id was never registered or has been evicted beyond
-            recovery; the caller can re-register the same fitness to
-            mint the same root id (and replay updates for versions).
+            If the id was never minted here, or its root was forgotten
+            past the recipe bound; re-registering the same fitness mints
+            the same root id (and replaying updates the same versions).
         """
-        for attempt in (0, 1):
-            with self._lock:
-                entry = self._entries.get(wheel_id)
-                if entry is not None:
-                    entry.hits += 1
-                    self.hits += 1
-                    self._entries.move_to_end(wheel_id)
-                    return entry.wheel
-            if attempt == 0 and not self._replay_chain(wheel_id):
-                break
-        raise UnknownWheelError(
-            f"wheel {wheel_id!r} is not registered (or was evicted); "
-            f"re-register the fitness vector to restore it"
-        )
+        return self._lookup(wheel_id, count_hit=True)
 
     def __contains__(self, wheel_id: str) -> bool:
+        """Whether ``wheel_id``'s compiled wheel is resident."""
         with self._lock:
-            return wheel_id in self._entries
+            return wheel_id in self._wheels
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return len(self._wheels)
 
     # ------------------------------------------------------------------
-    def export(self, wheel_id: str) -> bytes:
-        """Serialize a cached wheel for shipping to a worker process."""
-        return self.get(wheel_id).to_bytes()
+    def _lookup(
+        self, wheel_id: str, count_hit: bool
+    ) -> Union[CompiledWheel, AcceptanceWheel]:
+        """The wheel for a known id, rebuilt from its recipe on a miss.
 
-    def import_blob(self, blob: bytes) -> str:
-        """Adopt a wheel serialized by :meth:`export`; returns its id.
-
-        The id is recomputed from the imported content, so a corrupted
-        or mismatched blob can never be addressed as the original.
+        The rebuild walks parent links to the nearest resident ancestor
+        (or the root, rebuilt through :meth:`_materialize`: a store hit
+        in a cluster, a compile in one process), then replays each
+        recorded delta oldest-first.  ``count_hit`` counts the lookup in
+        ``hits``/``misses``; update traffic passes False so those
+        counters stay draw-oriented.
         """
-        wheel = wheel_from_bytes(blob)
-        wheel_id = wheel_digest(wheel.fitness.values, wheel.method, wheel.policy)
         with self._lock:
-            if wheel_id not in self._entries:
-                self._entries[wheel_id] = _Entry(wheel, wheel.method, wheel.kernel)
-                self._evict_locked()
-            self._entries.move_to_end(wheel_id)
-        return wheel_id
-
-    # ------------------------------------------------------------------
-    def _evict_locked(self) -> None:
-        """LRU eviction that never strands a live version chain.
-
-        Roots with lineage (any version ever minted and not yet pruned)
-        are *pinned*: evicting one would make every version a client may
-        still hold unrecoverable — chain replay bottoms out at the root,
-        and only roots are re-registerable by content.  The scan skips
-        pinned roots and the MRU entry (the insert that triggered
-        eviction); if that leaves no victim the cache tolerates a
-        bounded overflow — at most one entry per pinned root — rather
-        than break the chain-replay guarantee.  Versioned entries evict
-        freely; their lineage records stay behind for re-derivation.
-        """
-        while len(self._entries) > self.max_wheels:
-            victim = None
-            mru = next(reversed(self._entries))
-            for wid in self._entries:  # LRU -> MRU
-                if wid == mru:
+            wheel = self._wheels.get(wheel_id)
+            if wheel is not None:
+                if count_hit:
+                    self.hits += 1
+                self._wheels.move_to_end(wheel_id)
+                self._roots.move_to_end(base_id(wheel_id))
+                return wheel
+            chain = []
+            cur = wheel_id
+            while wheel is None:
+                recipe = self._recipe_locked(cur)
+                if recipe is None:
+                    raise self._unknown(wheel_id)
+                chain.append((cur, recipe))
+                if "@" not in cur:
                     break
-                if "@" not in wid and wid in self._pinned:
-                    continue
-                victim = wid
-                break
-            if victim is None:
-                break
-            self._entries.pop(victim)
+                cur = recipe[0]
+                wheel = self._wheels.get(cur)
+            if count_hit:
+                self.misses += 1
+        for wid, recipe in reversed(chain):
+            if wheel is None:
+                values, method, policy, backend, _ = recipe
+                wheel = self._materialize(
+                    FitnessVector(values), method, policy, wid, backend
+                )
+            else:
+                wheel = wheel.apply_updates(recipe[1], recipe[2])
+            with self._lock:
+                if "@" in wid and not isinstance(wheel, AcceptanceWheel):
+                    self.delta_recompiles += 1
+                if self._recipe_locked(wid) is not None:
+                    self._insert_locked(wid, wheel)
+        with self._lock:
+            self.rederives += 1
+        return wheel
+
+    def _recipe_locked(self, wheel_id: str):
+        if "@" in wheel_id:
+            return self._lineage.get(wheel_id)
+        return self._roots.get(wheel_id)
+
+    @staticmethod
+    def _unknown(wheel_id: str) -> UnknownWheelError:
+        return UnknownWheelError(
+            f"wheel {wheel_id!r} was never minted here, or forgotten past "
+            f"the recipe bound; re-register the fitness vector (and replay "
+            f"updates) to restore it"
+        )
+
+    def _insert_locked(self, wheel_id: str, wheel) -> None:
+        """Make ``wheel`` the MRU compiled wheel, touch its root, evict LRU.
+
+        A root's recipe adopts the resident wheel's values array, so a
+        live root costs no bytes beyond its compiled wheel.
+        """
+        self._wheels[wheel_id] = wheel
+        self._wheels.move_to_end(wheel_id)
+        root = base_id(wheel_id)
+        self._roots.move_to_end(root)
+        if root == wheel_id:
+            self._roots[root][0] = wheel.fitness.values
+        while len(self._wheels) > self.max_wheels:
+            self._wheels.popitem(last=False)
             self.evictions += 1
+
+    def _prune_locked(self) -> None:
+        """Bound recipes: forget whole cohorts, least-recently-touched first.
+
+        Dropping a root with every version under it (never a partial
+        chain) keeps every remaining version's replay rooted; the
+        cohort's compiled wheels go with it.  The most recently touched
+        root — the one just registered or updated — is never dropped.
+        """
+        while len(self._roots) + len(self._lineage) > self.max_lineage and len(self._roots) > 1:
+            root, recipe = self._roots.popitem(last=False)
+            self._wheels.pop(root, None)
+            for vid in recipe[4]:
+                del self._lineage[vid]
+                self._wheels.pop(vid, None)
 
     def stats(self) -> Dict[str, Any]:
         """JSON-able cache accounting (merged into metrics snapshots)."""
         with self._lock:
             lookups = self.hits + self.misses
             out = {
-                "wheels": len(self._entries),
+                "wheels": len(self._wheels),
                 "max_wheels": self.max_wheels,
                 "hits": self.hits,
                 "misses": self.misses,
@@ -591,10 +511,8 @@ class WheelRegistry:
                 "delta_recompiles": self.delta_recompiles,
                 "max_chain_len": self.max_chain_len,
                 "rederives": self.rederives,
-                "pinned_roots": len(self._pinned),
-                "versions": sum(
-                    1 for e in self._entries.values() if e.version > 0
-                ),
+                "recipes": len(self._roots) + len(self._lineage),
+                "versions": sum(1 for wid in self._wheels if "@" in wid),
             }
             if self.store is not None:
                 out["store"] = self.store.stats()

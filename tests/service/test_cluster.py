@@ -1,12 +1,19 @@
 """Sharded cluster: routing stability, dedupe, determinism, drain."""
 
 import asyncio
+import json
 import os
+import shutil
 import signal
+import socket
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.engine.compiled import _AUTO_KERNEL
 from repro.rng.streams import request_stream
 from repro.service.cluster import DEFAULT_VNODES, ClusterService, HashRing
@@ -38,12 +45,13 @@ UNKNOWN_NAME_MESSAGES = {
         f"no compiled kernel for method 'nope'; compilable: {sorted(_AUTO_KERNEL)}"
     ),
     "unknown_wheel": (
-        f"wheel {EDGE_REQUESTS['unknown_wheel']['wheel']!r} is not registered "
-        "(or was evicted); re-register the fitness vector to restore it"
+        f"wheel {EDGE_REQUESTS['unknown_wheel']['wheel']!r} was never minted here, "
+        "or forgotten past the recipe bound; re-register the fitness vector "
+        "(and replay updates) to restore it"
     ),
     "malformed_wheel_id": (
-        "wheel 'garbage' is not registered (or was evicted); "
-        "re-register the fitness vector to restore it"
+        "wheel 'garbage' was never minted here, or forgotten past the recipe "
+        "bound; re-register the fitness vector (and replay updates) to restore it"
     ),
 }
 
@@ -398,3 +406,61 @@ class TestClusterService:
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError):
             ClusterService(workers=0)
+
+
+def _proc_stat(pid):
+    """``(state, ppid)`` from ``/proc/<pid>/stat``; None once reaped."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii", errors="replace") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs procfs")
+def test_shards_exit_when_front_end_is_killed():
+    """A SIGKILLed front end never drains; its shards must still exit.
+
+    A forked shard sees EOF on its stream only if it closed its copies
+    of the front end's socket ends (its own and every earlier shard's).
+    The owner's store directory leaks on SIGKILL; this test removes it.
+    """
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--workers", "2"],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    store = None
+    try:
+        listening = proc.stderr.readline()  # printed only once bound
+        host, port = listening.split(" listening on ", 1)[1].split()[0].rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=30) as conn:
+            conn.sendall(b'{"op": "stats", "id": 1}\n')
+            reply = json.loads(conn.makefile("r").readline())
+        store = reply["stats"]["shards"][0]["registry"]["store"]["path"]
+        shards = [
+            int(pid) for pid in os.listdir("/proc")
+            if pid.isdigit() and (_proc_stat(pid) or ("", 0))[1] == proc.pid
+        ]
+        assert len(shards) == 2, shards
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 5.0
+        alive = shards
+        while alive and time.monotonic() < deadline:
+            time.sleep(0.05)
+            alive = [pid for pid in alive if (_proc_stat(pid) or ("Z",))[0] != "Z"]
+        assert not alive, f"shards {alive} outlived their front end"
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+        proc.stderr.close()
+        if store is not None:
+            shutil.rmtree(store, ignore_errors=True)
