@@ -48,8 +48,6 @@ Kernel selection policies:
 
 from __future__ import annotations
 
-import io
-import json
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -67,11 +65,9 @@ __all__ = [
     "AcceptanceWheel",
     "compile_wheel",
     "stream_counts",
-    "wheel_from_bytes",
     "DEFAULT_CHUNK_BYTES",
     "KERNELS",
     "WHEEL_FORMAT",
-    "ACCEPTANCE_FORMAT",
 ]
 
 #: Default per-chunk buffer budget.  Small enough to stay cache-friendly
@@ -114,12 +110,9 @@ _FAITHFUL_KERNEL: Dict[str, str] = {
 #: (|log u| <= log 2^53 ~ 36.75, overflow at f < ~2e-307).
 _CLAMP_THRESHOLD = 1e-306
 
-#: Serialization format tag for :meth:`CompiledWheel.to_bytes` /
-#: ``__getstate__`` (bump on layout changes).
+#: Pickle state format tag of ``CompiledWheel.__getstate__`` (bump on
+#: layout changes).
 WHEEL_FORMAT = "repro/compiled-wheel/v1"
-
-#: Serialization format tag for :meth:`AcceptanceWheel.to_bytes`.
-ACCEPTANCE_FORMAT = "repro/acceptance-wheel/v1"
 
 
 def _canonical_delta(
@@ -595,8 +588,8 @@ class CompiledWheel:
         return new
 
     # ------------------------------------------------------------------
-    # serialization (ships compiled artifacts to workers without
-    # re-running _precompute; see repro.service.registry)
+    # pickling (ships compiled artifacts to worker processes without
+    # re-running _precompute; see repro.select.rs.run_rs)
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict[str, object]:
         """Pickle support: fitness + precomputed tables, no lazy caches."""
@@ -654,64 +647,12 @@ class CompiledWheel:
             table._alias = np.asarray(state["alias"], dtype=np.int64)
             self._table = table
 
-    def to_bytes(self) -> bytes:
-        """Serialize to a self-describing ``npz`` blob (no pickle).
-
-        The blob carries the fitness values and every precomputed table,
-        so :meth:`from_bytes` restores a wheel whose ``select_many`` is
-        bitwise identical without re-running ``_precompute`` — cheap to
-        ship to worker processes or cache on disk.
-        """
-        state = self.__getstate__()
-        arrays = {k: v for k, v in state.items() if isinstance(v, np.ndarray)}
-        meta = {k: v for k, v in state.items() if not isinstance(v, np.ndarray)}
-        bio = io.BytesIO()
-        header = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-        np.savez(bio, __meta__=header, **arrays)
-        return bio.getvalue()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "CompiledWheel":
-        """Restore a wheel serialized by :meth:`to_bytes`."""
-        state = _load_wheel_state(blob)
-        wheel = cls.__new__(cls)
-        wheel.__setstate__(state)
-        return wheel
-
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CompiledWheel(n={self.n}, method={self.method!r}, "
             f"kernel={self.kernel!r}, chunk_rows={self.chunk_rows})"
         )
-
-
-def _load_wheel_state(blob: bytes) -> Dict[str, object]:
-    """Decode a wheel ``npz`` blob into its state dict (meta + arrays)."""
-    with np.load(io.BytesIO(blob), allow_pickle=False) as npz:
-        if "__meta__" not in npz.files:
-            raise ValueError("not a wheel blob (missing __meta__)")
-        state: Dict[str, object] = json.loads(bytes(npz["__meta__"]).decode("utf-8"))
-        for name in npz.files:
-            if name != "__meta__":
-                state[name] = npz[name]
-    return state
-
-
-def wheel_from_bytes(blob: bytes) -> Union["CompiledWheel", "AcceptanceWheel"]:
-    """Restore either serving-wheel kind from its blob (format sniffing)."""
-    state = _load_wheel_state(blob)
-    fmt = state.get("format")
-    if fmt == ACCEPTANCE_FORMAT:
-        return AcceptanceWheel(
-            np.asarray(state["values"], dtype=np.float64),
-            policy=str(state.get("policy", "auto")),
-        )
-    if fmt == WHEEL_FORMAT:
-        wheel = CompiledWheel.__new__(CompiledWheel)
-        wheel.__setstate__(state)
-        return wheel
-    raise ValueError(f"unsupported wheel blob format {fmt!r}")
 
 
 class AcceptanceWheel:
@@ -824,15 +765,6 @@ class AcceptanceWheel:
         else:
             fmax = max(self._fmax, float(vals_u.max()))
         return AcceptanceWheel(f, policy=self.policy, fmax=fmax)
-
-    def to_bytes(self) -> bytes:
-        """Serialize to the same self-describing ``npz`` blob scheme as
-        :meth:`CompiledWheel.to_bytes` (restored by :func:`wheel_from_bytes`)."""
-        meta = {"format": ACCEPTANCE_FORMAT, "method": self.method, "policy": self.policy}
-        bio = io.BytesIO()
-        header = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-        np.savez(bio, __meta__=header, values=np.asarray(self.fitness.values))
-        return bio.getvalue()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"AcceptanceWheel(n={self.n}, fmax={self._fmax:g})"

@@ -12,13 +12,12 @@ interface (``python -m repro serve``).
 
 ``python -m repro serve --workers N`` swaps in the
 :class:`ClusterService`: N shard processes each running the kernel
-executor, wheels routed by consistent hash (:class:`HashRing`), compiled
-artifacts deduped through the shared-memory
-:class:`~repro.service.shm.SharedWheelStore` — with byte-identical
-responses at any pool size.  ``python -m repro bench serve`` records the
-batched-vs-naive throughput gate, the frames-vs-JSON protocol gate, the
-cluster scaling sweep, and the coalescing + per-shard determinism
-certificates.
+executor, wheels routed by consistent hash (:class:`HashRing`) so each
+wheel is compiled, and rebuilt after eviction, only on the shard that
+owns it — with byte-identical responses at any pool size.
+``python -m repro bench serve`` records the batched-vs-naive throughput
+gate, the frames-vs-JSON protocol gate, the cluster scaling sweep, and
+the coalescing + per-shard determinism certificates.
 """
 
 from repro.service.cluster import DEFAULT_VNODES, ClusterService, HashRing
@@ -46,7 +45,6 @@ from repro.service.server import (
     serve_tcp,
     start_tcp_server,
 )
-from repro.service.shm import SharedWheelStore
 
 __all__ = [
     "BatchConfig",
@@ -62,7 +60,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "SelectionService",
     "ServiceMetrics",
-    "SharedWheelStore",
     "WheelRegistry",
     "decode_request",
     "digest_key",

@@ -823,7 +823,6 @@ def _measure_cluster_leg(
             / max(1, sum(s["batch_sizes"]["batches"] for s in shard_stats))
         ),
         "compiles": sum(s["registry"]["compiles"] for s in shard_stats),
-        "store_hits": sum(s["registry"]["store_hits"] for s in shard_stats),
     }
 
 

@@ -8,17 +8,15 @@ stamps auto-seeds and correlates: it forwards each request dict to the
 owning shard and returns the shard's response dict, so a cluster answers
 every request — errors included — exactly as one process does.
 
-The four structural pieces:
+The three structural pieces:
 
 * **Consistent-hash routing** (:class:`HashRing`): every ``wheel_id``
   maps to exactly one shard, so a wheel compiles on one worker and all
   its concurrent draws coalesce there instead of diluting across the
-  pool.  Virtual nodes keep the assignment balanced, and changing the
-  worker count only remaps the keys the ring says must move.
-* **Shared compiled-wheel store**
-  (:class:`~repro.service.shm.SharedWheelStore`): workers dedupe
-  compilation through a write-once blob store of
-  ``CompiledWheel.to_bytes`` exports living in shared memory.
+  pool.  That shard's registry is the only place the wheel is ever
+  compiled, and it rebuilds an evicted wheel by compiling it again.
+  Virtual nodes keep the assignment balanced, and changing the worker
+  count only remaps the keys the ring says must move.
 * **One event-loop channel per shard**: a ``socket.socketpair`` whose
   ends both run as asyncio streams carrying length-prefixed pickled
   ``(tag, dict)`` messages.  The front end writes a request and awaits
@@ -57,7 +55,6 @@ from repro.service.protocol import PROTOCOL_VERSION, error_response, ok_response
 from repro.service.registry import DEFAULT_MAX_WHEELS, base_id, wheel_digest, wheel_tokens
 from repro.service.scheduler import BatchConfig
 from repro.service.server import SelectionService
-from repro.service.shm import SharedWheelStore
 
 __all__ = ["HashRing", "ClusterService", "DEFAULT_VNODES"]
 
@@ -151,7 +148,6 @@ async def _worker_loop(
     config: Optional[BatchConfig],
     max_wheels: int,
     policy: str,
-    store_path: Optional[str],
 ) -> None:
     """Answer forwarded requests through the shard's own :class:`SelectionService`.
 
@@ -162,10 +158,7 @@ async def _worker_loop(
     micro-batcher exactly as concurrent TCP clients do in a
     single-process service.
     """
-    store = SharedWheelStore(path=store_path) if store_path else None
-    service = SelectionService(
-        seed=seed, config=config, max_wheels=max_wheels, policy=policy, store=store
-    )
+    service = SelectionService(seed=seed, config=config, max_wheels=max_wheels, policy=policy)
     reader, writer = await asyncio.open_connection(sock=sock)
     tasks: set = set()
 
@@ -194,8 +187,6 @@ async def _worker_loop(
         tasks.add(task)
         task.add_done_callback(tasks.discard)
     writer.close()
-    if store is not None:
-        store.close()
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +261,6 @@ class ClusterService:
         self.config = config or BatchConfig()
         self.metrics = ServiceMetrics()
         self.ring = HashRing(self.workers, vnodes)
-        self.store = SharedWheelStore()
         if start_method is None:
             start_method = (
                 "fork" if "fork" in mp.get_all_start_methods() else "spawn"
@@ -289,8 +279,7 @@ class ClusterService:
                 proc = ctx.Process(
                     target=_worker_main,
                     args=(child_sock, inherited if start_method == "fork" else [],
-                          self.seed, self.config, max_wheels, self.policy,
-                          self.store.path),
+                          self.seed, self.config, max_wheels, self.policy),
                     name=f"repro-shard-{index}",
                     daemon=True,
                 )
@@ -465,10 +454,10 @@ class ClusterService:
     async def stats(self) -> Dict[str, Any]:
         """The ``stats`` RPC: routing table view plus per-shard counters.
 
-        Per shard: queue depth, batch-size distribution, registry
-        hit/miss and compile-dedupe (``store_hits`` vs ``compiles``)
-        counters — enough for a bench to attribute scaling losses to
-        routing skew vs batching dilution.
+        Per shard: queue depth, batch-size distribution, and registry
+        hit/miss, eviction and ``compiles`` counters — enough for a
+        bench to attribute scaling losses to routing skew vs batching
+        dilution.
         """
         shards = await self._shard_stats()
         routed = {str(s.index): s.routed for s in self._shards}
@@ -500,7 +489,6 @@ class ClusterService:
         self._closed = True
         for shard in self._shards:
             shard.proc.join(timeout=5.0)
-        self.store.close()
 
     async def close(self) -> None:
         """Drain (if not already) and reap the worker processes."""
@@ -518,7 +506,6 @@ class ClusterService:
                 shard.writer.close()
             else:
                 shard.sock.close()
-        self.store.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -13,20 +13,17 @@ fitness values with ``(method, policy, backend)`` — the resident wheel's
 own values array, so a live root costs no extra bytes.  A version's
 recipe is its ``(parent, delta)``.  ``max_wheels`` bounds only the
 compiled artifacts, with plain LRU eviction, and a miss on any known id
-rebuilds it from its recipe: the root through the shared store or a
-compile, then the recorded deltas replayed oldest first.  Content and
-history addressing make the rebuilt wheel bitwise the evicted one, so no
-draw depends on what the cache held.  Recipes are bounded by
-``max_lineage`` (roots and versions together); past it the
-least-recently-touched root is forgotten with its whole cohort, and only
-then does one of its ids raise :class:`~repro.errors.UnknownWheelError`.
+rebuilds it from its recipe: the root by a compile, then the recorded
+deltas replayed oldest first.  Content and history addressing make the
+rebuilt wheel bitwise the evicted one, so no draw depends on what the
+cache held.  Recipes are bounded by ``max_lineage`` (roots and versions
+together); past it the least-recently-touched root is forgotten with its
+whole cohort, and only then does one of its ids raise
+:class:`~repro.errors.UnknownWheelError`.
 
-With a :class:`repro.service.shm.SharedWheelStore` attached, the
-compile-once guarantee extends *across processes*: before compiling, a
-registry first consults the store (adopting a blob another worker
-published), then races for the store's exclusive claim — so N cluster
-replicas registering the same fitness vector concurrently still compile
-it exactly once, with ``store_hits`` / ``compiles`` counters proving it.
+A compiled wheel lives only in the process that compiled it.  In a
+cluster every version of a wheel routes to its root's shard, so that
+shard is the only one that ever compiles or rebuilds it.
 
 Live mutation rides on **versioned wheels**: :meth:`WheelRegistry.update`
 applies an ``(indices, values)`` delta to a registered wheel and mints a
@@ -58,7 +55,6 @@ from repro.engine.compiled import (
     AcceptanceWheel,
     CompiledWheel,
     _canonical_delta,
-    wheel_from_bytes,
 )
 from repro.errors import UnknownWheelError
 
@@ -193,23 +189,17 @@ class WheelRegistry:
         Default kernel policy for registrations (``"auto"`` serves the
         fastest distribution-preserving kernel; ``"faithful"`` pins the
         bit-exact simulation of the registry method).
-    store:
-        Optional :class:`repro.service.shm.SharedWheelStore` for
-        cross-process compile dedupe; local behaviour is unchanged
-        without one.
     """
 
     def __init__(
         self,
         max_wheels: int = DEFAULT_MAX_WHEELS,
         policy: str = "auto",
-        store=None,
     ) -> None:
         if max_wheels <= 0:
             raise ValueError(f"max_wheels must be positive, got {max_wheels}")
         self.max_wheels = int(max_wheels)
         self.policy = str(policy)
-        self.store = store
         self._wheels: "OrderedDict[str, Union[CompiledWheel, AcceptanceWheel]]" = OrderedDict()
         # root id -> [values, method, policy, backend, version ids], in
         # touch order (any lookup, registration or update in the cohort).
@@ -223,7 +213,6 @@ class WheelRegistry:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.store_hits = 0
         self.compiles = 0
         self.updates = 0
         self.update_hits = 0
@@ -268,7 +257,7 @@ class WheelRegistry:
         # Compile outside the lock: O(n) table builds must not serialize
         # unrelated lookups.  A racing duplicate registration compiles
         # twice and the second insert wins; ids are identical either way.
-        wheel = self._materialize(fitness, method, policy, wheel_id, backend)
+        wheel = self._materialize(fitness, method, policy, backend)
         with self._lock:
             self.misses += 1
             cached = wheel_id in self._roots
@@ -283,40 +272,14 @@ class WheelRegistry:
         fitness: FitnessVector,
         method: str,
         policy: str,
-        wheel_id: str,
-        backend: str = "compiled",
+        backend: str,
     ) -> Union[CompiledWheel, AcceptanceWheel]:
-        """Obtain the compiled wheel — from the shared store if possible.
-
-        Store order of preference: adopt a published blob (store hit,
-        zero compilation); else win the claim and compile + publish;
-        else wait out the claimant and adopt its publication.  A dead
-        claimant degrades to a local compile after the wait times out —
-        the store only ever dedupes work, never gates correctness.
-        """
-        store = self.store
-        claimed = False
-        if store is not None:
-            blob = store.get(wheel_id)
-            if blob is None:
-                claimed = store.claim(wheel_id)
-                if not claimed:
-                    blob = store.wait(wheel_id)
-            if blob is not None:
-                self.store_hits += 1
-                return wheel_from_bytes(blob)
-        try:
-            if backend == "stochastic_acceptance":
-                wheel = AcceptanceWheel(fitness, policy=policy)
-            else:
-                wheel = CompiledWheel(fitness, method, kernel=policy)
-        except BaseException:
-            if claimed:
-                store._release_claim(wheel_id)
-            raise
+        """Compile the serving wheel for a root's recipe."""
+        if backend == "stochastic_acceptance":
+            wheel = AcceptanceWheel(fitness, policy=policy)
+        else:
+            wheel = CompiledWheel(fitness, method, kernel=policy)
         self.compiles += 1
-        if store is not None:
-            store.publish(wheel_id, wheel.to_bytes())
         return wheel
 
     def update(
@@ -405,11 +368,10 @@ class WheelRegistry:
         """The wheel for a known id, rebuilt from its recipe on a miss.
 
         The rebuild walks parent links to the nearest resident ancestor
-        (or the root, rebuilt through :meth:`_materialize`: a store hit
-        in a cluster, a compile in one process), then replays each
-        recorded delta oldest-first.  ``count_hit`` counts the lookup in
-        ``hits``/``misses``; update traffic passes False so those
-        counters stay draw-oriented.
+        (or the root, compiled again by :meth:`_materialize`), then
+        replays each recorded delta oldest-first.  ``count_hit`` counts
+        the lookup in ``hits``/``misses``; update traffic passes False
+        so those counters stay draw-oriented.
         """
         with self._lock:
             wheel = self._wheels.get(wheel_id)
@@ -435,9 +397,7 @@ class WheelRegistry:
         for wid, recipe in reversed(chain):
             if wheel is None:
                 values, method, policy, backend, _ = recipe
-                wheel = self._materialize(
-                    FitnessVector(values), method, policy, wid, backend
-                )
+                wheel = self._materialize(FitnessVector(values), method, policy, backend)
             else:
                 wheel = wheel.apply_updates(recipe[1], recipe[2])
             with self._lock:
@@ -497,7 +457,7 @@ class WheelRegistry:
         """JSON-able cache accounting (merged into metrics snapshots)."""
         with self._lock:
             lookups = self.hits + self.misses
-            out = {
+            return {
                 "wheels": len(self._wheels),
                 "max_wheels": self.max_wheels,
                 "hits": self.hits,
@@ -505,7 +465,8 @@ class WheelRegistry:
                 "evictions": self.evictions,
                 "hit_rate": self.hits / lookups if lookups else 0.0,
                 "compiles": self.compiles,
-                "store_hits": self.store_hits,
+                # Always 0; perfbench/serve.py still reads it per shard.
+                "store_hits": 0,
                 "updates": self.updates,
                 "update_hits": self.update_hits,
                 "delta_recompiles": self.delta_recompiles,
@@ -514,9 +475,6 @@ class WheelRegistry:
                 "recipes": len(self._roots) + len(self._lineage),
                 "versions": sum(1 for wid in self._wheels if "@" in wid),
             }
-            if self.store is not None:
-                out["store"] = self.store.stats()
-            return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

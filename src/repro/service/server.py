@@ -58,9 +58,6 @@ class SelectionService:
         Scheduler knobs; defaults are the ``bench serve`` tuning.
     max_wheels / policy:
         Registry capacity and default kernel policy.
-    store:
-        Optional :class:`~repro.service.shm.SharedWheelStore` the
-        registry dedupes compilation through (a cluster shard's store).
     """
 
     def __init__(
@@ -70,10 +67,9 @@ class SelectionService:
         config: Optional[BatchConfig] = None,
         max_wheels: int = DEFAULT_MAX_WHEELS,
         policy: str = "auto",
-        store=None,
     ) -> None:
         self.metrics = ServiceMetrics()
-        self.registry = WheelRegistry(max_wheels=max_wheels, policy=policy, store=store)
+        self.registry = WheelRegistry(max_wheels=max_wheels, policy=policy)
         self.scheduler = MicroBatchScheduler(
             self.registry, config, seed=seed, metrics=self.metrics
         )

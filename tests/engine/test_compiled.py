@@ -1,6 +1,7 @@
 """CompiledWheel: bit-compatibility, kernel policies, degenerate wheels,
 and the constant-memory contract."""
 
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -124,11 +125,11 @@ def test_single_item_wheel_always_zero(kernel):
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_zero_masks_live_on_race_wheels_only(fitness, kernel):
     """The lookup kernels never read the O(n) masks, so they keep none —
-    after compile, after an update and after a round trip alike."""
+    after compile, after an update and after a pickle round trip alike."""
     method = {"race": "log_bidding", "searchsorted": "binary_search", "alias": "alias"}
     compiled = CompiledWheel(fitness, method[kernel], kernel=kernel)
     updated = compiled.apply_updates([2], [0.0])
-    for wheel in (compiled, updated, CompiledWheel.from_bytes(compiled.to_bytes())):
+    for wheel in (compiled, updated, pickle.loads(pickle.dumps(compiled))):
         assert wheel._has_zeros
         assert hasattr(wheel, "_zero_mask") == (kernel == "race")
         assert hasattr(wheel, "_positive_mask") == (kernel == "race")

@@ -70,8 +70,8 @@ class TestBenchServe:
             # exact merge, not a per-wheel summary.
             assert leg["latency"]["count"] == leg["requests"] == leg["draw_requests"]
             assert leg["draws"] == leg["draw_requests"] * n_draws
-            # One compile per distinct wheel across the whole pool — the
-            # shared store dedupes the rest.
+            # One compile per distinct wheel across the whole pool: each
+            # wheel routes to, and compiles on, exactly one shard.
             assert leg["compiles"] >= 1
         scaling = _gate(tiny_report, "results.cluster.efficiency.4")
         if scaling["skipped"]:

@@ -1,9 +1,8 @@
-"""Sharded cluster: routing stability, dedupe, determinism, drain."""
+"""Sharded cluster: routing stability, rebuilds, determinism, drain."""
 
 import asyncio
 import json
 import os
-import shutil
 import signal
 import socket
 import subprocess
@@ -302,10 +301,48 @@ class TestClusterService:
         assert len(stats["shards"]) == 2
         for shard in stats["shards"]:
             assert {"shard", "queued", "registry", "batch_sizes"} <= set(shard)
-            assert {"compiles", "store_hits"} <= set(shard["registry"])
+            assert "compiles" in shard["registry"]
+            assert "store" not in shard["registry"]
         # Exactly one compile happened across the pool for the one wheel.
         assert sum(s["registry"]["compiles"] for s in stats["shards"]) == 1
         assert metrics["workers"] == 2 and len(metrics["shards"]) == 2
+
+    def test_shard_rebuilds_an_evicted_root_by_compiling_it(self):
+        """A shard holding one compiled wheel recompiles an evicted root
+        from its recipe, and the draw it serves is byte-equal."""
+        cluster = ClusterService(workers=2, seed=0, max_wheels=1)
+
+        def vector(k):
+            return (np.arange(1.0, 9.0) * (1.0 + 0.01 * k)).tolist()
+
+        async def owner_registry(owner):
+            stats = (await cluster.handle_request({"op": "stats"}))["stats"]
+            return stats["shards"][owner]["registry"]
+
+        async def register(k):
+            return (await cluster.handle_request({"op": "register", "fitness": vector(k)}))["wheel"]
+
+        async def flow():
+            first = [await register(k) for k in range(3)][0]
+            owner = cluster.ring.lookup(first)
+            draw = {"op": "draw", "wheel": first, "n": 16, "seed": 11, "id": 1}
+            before = await cluster.handle_request(draw)
+            # The owner holds one compiled wheel, so the next register
+            # routed to it evicts the first.
+            k = 3
+            while cluster.ring.lookup(await register(k)) != owner:
+                k += 1
+            compiles = (await owner_registry(owner))["compiles"]
+            after = await cluster.handle_request(draw)
+            registry = await owner_registry(owner)
+            await cluster.close()
+            return before, after, compiles, registry
+
+        before, after, compiles, registry = self._run(flow())
+        assert before["status"] == after["status"] == "ok"
+        assert np.asarray(after["draws"]).tobytes() == np.asarray(before["draws"]).tobytes()
+        assert registry["compiles"] == compiles + 1
+        assert registry["rederives"] >= 1
 
     def test_drain_loses_no_accepted_request(self):
         """Graceful drain: every request accepted before the drain
@@ -418,14 +455,18 @@ def _proc_stat(pid):
     return fields[0], int(fields[1])
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs procfs")
+@pytest.mark.skipif(
+    not (os.path.isdir("/proc/self") and os.path.isdir("/dev/shm")),
+    reason="needs procfs and /dev/shm",
+)
 def test_shards_exit_when_front_end_is_killed():
     """A SIGKILLed front end never drains; its shards must still exit.
 
     A forked shard sees EOF on its stream only if it closed its copies
     of the front end's socket ends (its own and every earlier shard's).
-    The owner's store directory leaks on SIGKILL; this test removes it.
+    Nothing the cluster made is left in ``/dev/shm`` afterwards.
     """
+    shm_before = set(os.listdir("/dev/shm"))
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
@@ -436,14 +477,13 @@ def test_shards_exit_when_front_end_is_killed():
         stderr=subprocess.PIPE,
         text=True,
     )
-    store = None
     try:
         listening = proc.stderr.readline()  # printed only once bound
         host, port = listening.split(" listening on ", 1)[1].split()[0].rsplit(":", 1)
         with socket.create_connection((host, int(port)), timeout=30) as conn:
             conn.sendall(b'{"op": "stats", "id": 1}\n')
             reply = json.loads(conn.makefile("r").readline())
-        store = reply["stats"]["shards"][0]["registry"]["store"]["path"]
+        assert reply["status"] == "ok"
         shards = [
             int(pid) for pid in os.listdir("/proc")
             if pid.isdigit() and (_proc_stat(pid) or ("", 0))[1] == proc.pid
@@ -457,10 +497,9 @@ def test_shards_exit_when_front_end_is_killed():
             time.sleep(0.05)
             alive = [pid for pid in alive if (_proc_stat(pid) or ("Z",))[0] != "Z"]
         assert not alive, f"shards {alive} outlived their front end"
+        assert set(os.listdir("/dev/shm")) - shm_before == set()
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)
         proc.stderr.close()
-        if store is not None:
-            shutil.rmtree(store, ignore_errors=True)
