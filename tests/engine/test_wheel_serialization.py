@@ -26,9 +26,11 @@ def _wheel(method, policy, n=97):
 
 class TestRoundTrip:
     @pytest.mark.parametrize("method,policy", KERNEL_CASES)
-    def test_pickle_round_trip(self, method, policy):
+    def test_bytes_round_trip_is_bitwise_equivalent(self, method, policy):
         wheel = _wheel(method, policy)
-        clone = pickle.loads(pickle.dumps(wheel))
+        blob = pickle.dumps(wheel)
+        assert isinstance(blob, bytes)
+        clone = pickle.loads(blob)
         assert clone.method == wheel.method
         assert clone.kernel == wheel.kernel
         assert clone.policy == policy
@@ -37,6 +39,16 @@ class TestRoundTrip:
         rng_b = np.random.default_rng(123)
         assert np.array_equal(
             wheel.select_many(500, rng_a), clone.select_many(500, rng_b)
+        )
+
+    @pytest.mark.parametrize("method,policy", KERNEL_CASES)
+    def test_pickle_round_trip(self, method, policy):
+        wheel = _wheel(method, policy)
+        clone = pickle.loads(pickle.dumps(wheel))
+        rng_a = np.random.default_rng(9)
+        rng_b = np.random.default_rng(9)
+        assert np.array_equal(
+            wheel.select_many(200, rng_a), clone.select_many(200, rng_b)
         )
 
     def test_restore_skips_precompute(self, monkeypatch):
