@@ -114,6 +114,13 @@ _CLAMP_THRESHOLD = 1e-306
 #: layout changes).
 WHEEL_FORMAT = "repro/compiled-wheel/v1"
 
+#: Spin count from which ``searchsorted`` sorts its spins first.  On a
+#: 2-vCPU x86 host with fresh spins per call (NumPy 2.4), sorting, one
+#: search of the sorted spins and a scatter beat the unsorted search by
+#: 1.1-1.3x at 128 spins and 1.6-2x from 1024, for 10^3-10^5 items;
+#: below 64 spins the sort costs more than it saves.
+_SORTED_SPINS = 128
+
 
 def _canonical_delta(
     indices, values, n: int
@@ -391,12 +398,20 @@ class CompiledWheel:
         """Scale spins in place to wheel coordinates and binary-search.
 
         Element-independent, so spin-stream partitioning never changes
-        the draws (see :meth:`select_segments`).
+        the draws (see :meth:`select_segments`).  From
+        :data:`_SORTED_SPINS` spins on, the search runs over the sorted
+        spins (consecutive keys then share most of their search path)
+        and the indices are scattered back: the same integers, faster.
         """
         f = self.fitness.values
         prefix = self._prefix
         np.multiply(spins, prefix[-1], out=spins)
-        idx = np.searchsorted(prefix, spins, side="right").astype(np.int64)
+        if spins.size >= _SORTED_SPINS:
+            order = np.argsort(spins)
+            idx = np.empty(spins.size, dtype=np.int64)
+            idx[order] = np.searchsorted(prefix, spins[order], side="right")
+        else:
+            idx = np.searchsorted(prefix, spins, side="right").astype(np.int64)
         np.minimum(idx, self.n - 1, out=idx)
         if self._has_zeros:
             # FP boundary collisions can land on zero-width intervals;

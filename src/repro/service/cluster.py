@@ -2,11 +2,13 @@
 
 One asyncio front end, N worker processes.  Each worker runs a
 :class:`~repro.service.server.SelectionService` (its own registry and
-micro-batching scheduler) on its own event loop, so draws for a wheel
-batch densely on the core that owns it.  The front end only routes,
-stamps auto-seeds and correlates: it forwards each request dict to the
-owning shard and returns the shard's response dict, so a cluster answers
-every request — errors included — exactly as one process does.
+micro-batching scheduler) in a plain blocking loop, so draws for a
+wheel batch densely on the core that owns it.  The front end only
+routes, stamps auto-seeds and correlates: a framed client's DRAW or
+UPDATE frame goes to the owning shard as its own bytes and the shard's
+reply frame comes back to the client byte for byte; every other request
+crosses as a pickled dict.  Either way a cluster answers every request
+— errors included — exactly as one process does.
 
 The three structural pieces:
 
@@ -17,13 +19,17 @@ The three structural pieces:
   compiled, and it rebuilds an evicted wheel by compiling it again.
   Virtual nodes keep the assignment balanced, and changing the worker
   count only remaps the keys the ring says must move.
-* **One event-loop channel per shard**: a ``socket.socketpair`` whose
-  ends both run as asyncio streams carrying length-prefixed pickled
-  ``(tag, dict)`` messages.  The front end writes a request and awaits
-  the future its reader resolves by tag; the shard reads requests and
-  starts each as a task, so back-to-back draws coalesce in its
-  micro-batcher.  No thread touches either loop, and EOF on a shard's
-  stream is what marks the shard lost.
+* **One batch pipeline per shard**: a ``socket.socketpair`` carrying
+  messages of a length, a kind byte (pickled dict or client frame) and
+  a u64 front-end tag.  The front end queues each shard's messages and
+  writes them once per event-loop iteration, splits the replies out of
+  one receive buffer and resolves each request's future by tag.  The
+  shard has no event loop: it blocks on ``recv``, answers every
+  complete message of the read in one synchronous pass — consecutive
+  draws coalesced per wheel by the scheduler's flush core — and writes
+  all the replies with one ``sendall``.  EOF on a shard's channel is
+  what marks the shard lost; a reply cut short by it never reaches a
+  client.
 * **Determinism per shard**: a request's draws are the pure function
   ``request_stream(service_seed, wheel_key, request_seed)`` of data that
   never depends on which worker executes or how requests coalesce — so
@@ -47,9 +53,10 @@ import pickle
 import socket
 import struct
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import ServiceDrainingError, ServiceError
+from repro.errors import ProtocolError, ServiceDrainingError, ServiceError
+from repro.service import frames as frames_mod
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import PROTOCOL_VERSION, error_response, ok_response
 from repro.service.registry import DEFAULT_MAX_WHEELS, base_id, wheel_digest, wheel_tokens
@@ -100,22 +107,45 @@ class HashRing:
 # Shard channel
 # ----------------------------------------------------------------------
 
-# A message is a u32 body length, then the pickled ``(tag, dict)``.
-# Pickle, not the client frame codec: the channel must carry every
-# request the dict API accepts (seeds past 2**63, ids that are not u64,
-# ``n = 0``) so that a shard answers it as a single process would.
-_LENGTH = struct.Struct("!I")
+# A message is a u32 body length, a kind byte and a u64 front-end tag,
+# then the body.
+_HEAD = struct.Struct("!IBQ")
+#: A pickled request or response dict; a pickled ``None`` asks a shard
+#: to stop.  Pickle, not the client frame codec: dict requests must
+#: cross with everything the dict API accepts (seeds past 2**63, ids
+#: that are not u64, ``n = 0``) so that a shard answers them as a single
+#: process would.
+_PICKLED = 0
+#: A framed client's DRAW or UPDATE frame, answered by its reply frame.
+_FRAME = 1
+#: Bytes a shard asks of one ``recv``.
+_RECV_BYTES = 1 << 18
 
 
-def _message(tag: int, payload: Optional[Dict[str, Any]]) -> bytes:
-    body = pickle.dumps((tag, payload), protocol=pickle.HIGHEST_PROTOCOL)
-    return _LENGTH.pack(len(body)) + body
+def _message(kind: int, tag: int, body: bytes) -> bytes:
+    return _HEAD.pack(len(body), kind, tag) + body
 
 
-async def _read_message(reader: "asyncio.StreamReader"):
-    """The next ``(tag, dict)``; ``IncompleteReadError`` at EOF."""
-    (size,) = _LENGTH.unpack(await reader.readexactly(_LENGTH.size))
-    return pickle.loads(await reader.readexactly(size))
+def _pickled(payload: Optional[Dict[str, Any]]) -> bytes:
+    return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _split(buf: bytearray) -> List[Tuple[int, int, bytes]]:
+    """Cut every complete ``(kind, tag, body)`` off the front of ``buf``.
+
+    A trailing partial message stays in ``buf`` for the next read.
+    """
+    out = []
+    offset, end, head = 0, len(buf), _HEAD.size
+    while end - offset >= head:
+        size, kind, tag = _HEAD.unpack_from(buf, offset)
+        stop = offset + head + size
+        if stop > end:
+            break
+        out.append((kind, tag, bytes(buf[offset + head : stop])))
+        offset = stop
+    del buf[:offset]
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -135,58 +165,87 @@ def _worker_main(sock: socket.socket, inherited: List[socket.socket], *args: Any
     for stale in inherited:
         stale.close()
     try:
-        asyncio.run(_worker_loop(sock, *args))
+        _worker_loop(sock, *args)
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         pass
     finally:
         sock.close()
 
 
-async def _worker_loop(
+def _worker_loop(
     sock: socket.socket,
     seed: int,
     config: Optional[BatchConfig],
     max_wheels: int,
     policy: str,
 ) -> None:
-    """Answer forwarded requests through the shard's own :class:`SelectionService`.
+    """Answer the front end's messages through the shard's own :class:`SelectionService`.
 
-    The stream carries ``(tag, request dict)`` in and ``(tag, response
-    dict)`` out; a ``None`` request asks the shard to stop.  Each
-    request becomes a task awaiting ``handle_request`` as soon as it is
-    read, so draws arriving back-to-back coalesce in the shard's
-    micro-batcher exactly as concurrent TCP clients do in a
-    single-process service.
+    No event loop: the shard blocks on ``recv``, answers every complete
+    message of the read in arrival order with one
+    :meth:`SelectionService.handle_batch` call — so draws that arrived
+    together coalesce per wheel, as concurrent draws do in a single
+    process's micro-batcher — and writes all the replies with one
+    ``sendall``.  A frame message is decoded and answered with the reply
+    frame a single process writes; a pickled dict with a pickled dict.
+    A pickled ``None`` asks the shard to stop: the messages before it
+    are answered, then it is acknowledged — the parent holds its drain
+    barrier on that ack, which is what makes shutdown lossless.  EOF
+    means the front end is gone.
     """
     service = SelectionService(seed=seed, config=config, max_wheels=max_wheels, policy=policy)
-    reader, writer = await asyncio.open_connection(sock=sock)
-    tasks: set = set()
-
-    async def serve_one(tag: int, request: Dict[str, Any]) -> None:
-        writer.write(_message(tag, await service.handle_request(request)))
-
+    inbox = bytearray()
     while True:
         try:
-            tag, request = await _read_message(reader)
-        except (asyncio.IncompleteReadError, OSError):
-            break  # the front end is gone
-        if request is None:
-            # Flush in-flight micro-batches, let their reply tasks run,
-            # then acknowledge — the parent holds the drain barrier on
-            # this ack, which is what makes shutdown lossless.
-            await service.close()
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            writer.write(_message(tag, ok_response()))
-            try:
-                await writer.drain()
-            except OSError:  # pragma: no cover - the front end is gone
-                pass
-            break
-        task = asyncio.create_task(serve_one(tag, request))
-        tasks.add(task)
-        task.add_done_callback(tasks.discard)
-    writer.close()
+            data = sock.recv(_RECV_BYTES)
+        except OSError:
+            return
+        if not data:
+            return
+        inbox += data
+        messages = _split(inbox)
+        if not messages:
+            continue
+        replies, stop = _answer(service, messages)
+        try:
+            sock.sendall(replies)
+        except OSError:
+            return
+        if stop:
+            return
+
+
+def _answer(service: SelectionService, messages) -> Tuple[bytes, bool]:
+    """The replies to ``messages``, concatenated, and whether to stop.
+
+    Frames arrive already validated: the front end forwards only bodies
+    its peek accepted, with a header it encoded itself.
+    """
+    envelopes: List[Tuple[int, int]] = []
+    requests: List[Dict[str, Any]] = []
+    stop = None
+    for kind, tag, body in messages:
+        if kind == _FRAME:
+            ftype, _, request_id = frames_mod.parse_header(body[: frames_mod.HEADER_SIZE])
+            request = frames_mod.frame_to_request(
+                ftype, body[frames_mod.HEADER_SIZE :], request_id
+            )
+        else:
+            request = pickle.loads(body)
+            if request is None:
+                stop = tag
+                break
+        envelopes.append((kind, tag))
+        requests.append(request)
+    out = bytearray()
+    for (kind, tag), response in zip(envelopes, service.handle_batch(requests)):
+        if kind == _FRAME:
+            out += _message(kind, tag, frames_mod.response_to_frame(response))
+        else:
+            out += _message(kind, tag, _pickled(response))
+    if stop is not None:
+        out += _message(_PICKLED, stop, _pickled(ok_response()))
+    return bytes(out), stop is not None
 
 
 # ----------------------------------------------------------------------
@@ -194,36 +253,68 @@ async def _worker_loop(
 # ----------------------------------------------------------------------
 
 
-class _Shard:
-    """Parent-side handle on one worker: stream, process, in-flight map."""
+class _Shard(asyncio.Protocol):
+    """Parent-side handle on one worker: its socket end, process, the
+    messages queued for it and the replies it owes."""
 
-    __slots__ = ("index", "sock", "proc", "outstanding", "routed", "writer", "reader", "lost")
-
-    def __init__(self, index: int, sock: socket.socket, proc) -> None:
+    def __init__(self, index: int, sock: Optional[socket.socket], proc) -> None:
         self.index = index
         self.sock = sock
         self.proc = proc
         self.outstanding: Dict[int, "asyncio.Future"] = {}
         self.routed = 0
-        self.writer: Optional["asyncio.StreamWriter"] = None
-        self.reader: Optional["asyncio.Task"] = None
+        self.transport: Optional[asyncio.Transport] = None
         self.lost = False
+        self._inbox = bytearray()
+        self._outbox: List[bytes] = []
 
     def lost_error(self) -> ServiceError:
         return ServiceError(f"shard {self.index} exited; its wheels cannot be served")
+
+    def send(self, kind: int, tag: int, body: bytes) -> None:
+        """Queue one message; the queue is written once per loop iteration."""
+        if not self._outbox:
+            asyncio.get_running_loop().call_soon(self._write)
+        self._outbox.append(_message(kind, tag, body))
+
+    def _write(self) -> None:
+        if not self.lost:
+            self.transport.write(b"".join(self._outbox))
+        self._outbox.clear()
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        self._inbox += data
+        for kind, tag, body in _split(self._inbox):
+            future = self.outstanding.pop(tag, None)
+            if future is not None and not future.done():
+                future.set_result(pickle.loads(body) if kind == _PICKLED else body)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        # EOF: the shard is gone; fail what it still owed.  A partial
+        # reply left in the inbox is dropped, never delivered.
+        self.lost = True
+        self._inbox.clear()
+        for future in self.outstanding.values():
+            if not future.done():
+                future.set_exception(self.lost_error())
+        self.outstanding.clear()
 
 
 class ClusterService:
     """The sharded, multi-process drop-in for :class:`SelectionService`.
 
-    Exposes the same transport-neutral ``handle_request`` surface, so
-    every transport (binary frames, JSON-lines TCP, stdio) works over a
-    cluster unchanged.  Every request that needs a wheel is forwarded to
-    the owning shard's :class:`SelectionService` and its response comes
-    back as that service wrote it, so answers — errors included — are
-    the single-process ones.  Construct it *before* any event loop is
+    Exposes the same transport-neutral ``handle_request`` and
+    ``handle_frame`` surface, so every transport (binary frames,
+    JSON-lines TCP, stdio) works over a cluster unchanged.  Every
+    request that needs a wheel is forwarded to the owning shard's
+    :class:`SelectionService` and its response comes back as that
+    service wrote it, so answers — errors included — are the
+    single-process ones.  Construct it *before* any event loop is
     running (workers are forked/spawned in ``__init__``); the shard
-    streams open on the loop of the first request that reaches a shard.
+    channels open on the loop of the first request that reaches a shard.
 
     Parameters
     ----------
@@ -292,33 +383,16 @@ class ClusterService:
 
     # ------------------------------------------------------------------
     async def _open(self) -> None:
-        """Open every shard stream and start its reply reader."""
+        """Open every shard's channel on the running loop."""
+        loop = asyncio.get_running_loop()
         for shard in self._shards:
-            reader, shard.writer = await asyncio.open_connection(sock=shard.sock)
-            shard.reader = asyncio.get_running_loop().create_task(
-                self._read_replies(shard, reader)
-            )
+            await loop.create_connection(lambda shard=shard: shard, sock=shard.sock)
 
-    async def _read_replies(self, shard: _Shard, reader: "asyncio.StreamReader") -> None:
-        try:
-            while True:
-                tag, response = await _read_message(reader)
-                future = shard.outstanding.pop(tag, None)
-                if future is not None and not future.done():
-                    future.set_result(response)
-        except (asyncio.IncompleteReadError, OSError):
-            pass
-        # EOF: the shard is gone; fail what it still owed.
-        shard.lost = True
-        for future in shard.outstanding.values():
-            if not future.done():
-                future.set_exception(shard.lost_error())
-        shard.outstanding.clear()
-
-    async def _call(self, shard: _Shard, request: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+    async def _call(self, shard: _Shard, kind: int, body: bytes):
+        """Send one message to ``shard``; its reply (a dict if pickled)."""
         loop = asyncio.get_running_loop()
         if self._opened is None:
-            # Every stream opens once, in one task, before the first
+            # Every channel opens once, in one task, before the first
             # send: concurrent first requests all wait on that task.
             self._opened = loop.create_task(self._open())
         elif self._opened.get_loop() is not loop:
@@ -332,11 +406,33 @@ class ClusterService:
         if shard.lost:
             raise shard.lost_error()
         self._tag += 1
-        message = _message(self._tag, request)
         future = loop.create_future()
         shard.outstanding[self._tag] = future
-        shard.writer.write(message)
+        shard.send(kind, self._tag, body)
         return await future
+
+    async def _ask(self, shard: _Shard, request: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+        return await self._call(shard, _PICKLED, _pickled(request))
+
+    def _route(self, key: str) -> _Shard:
+        shard = self._shards[self.ring.lookup(key)]
+        shard.routed += 1
+        return shard
+
+    def _next_seed(self) -> int:
+        # Auto-seeds are assigned centrally (front-end arrival order),
+        # never per worker — so the draw stream for a fixed arrival
+        # order is independent of the pool size.
+        seed = self._request_counter
+        self._request_counter += 1
+        return seed
+
+    def _refuse_if_draining(self) -> None:
+        if self._draining or self._closed:
+            self.metrics.drained()
+            raise ServiceDrainingError(
+                "service is draining; retry against another replica"
+            )
 
     def _shard_for(self, request: Dict[str, Any]) -> _Shard:
         """The shard owning the request's wheel.
@@ -360,11 +456,11 @@ class ClusterService:
                 key = wheel_digest(request["fitness"], method, policy)
             else:
                 key = base_id(request["wheel"])
-            shard = self._shards[self.ring.lookup(key)]
+            return self._route(key)
         except (KeyError, TypeError, ValueError, AttributeError):
             shard = self._shards[0]
-        shard.routed += 1
-        return shard
+            shard.routed += 1
+            return shard
 
     # ------------------------------------------------------------------
     # One front-end state and one line decoder for both services.
@@ -384,16 +480,12 @@ class ClusterService:
                 return ok_response(request_id, metrics=await self._metrics())
             if op == "stats":
                 return ok_response(request_id, stats=await self.stats())
-            if self._draining or self._closed:
-                self.metrics.drained()
-                raise ServiceDrainingError(
-                    "service is draining; retry against another replica"
-                )
+            self._refuse_if_draining()
             if op not in ("register", "update"):
                 # op == "draw" (decode_request admits nothing else)
                 return await self._draw(request)
             start = time.monotonic()
-            response = await self._call(self._shard_for(request), request)
+            response = await self._ask(self._shard_for(request), request)
             if op == "update" and response["status"] == "ok":
                 self.metrics.updated(len(request["indices"]), time.monotonic() - start)
             return response
@@ -402,24 +494,65 @@ class ClusterService:
 
     async def _draw(self, request: Dict[str, Any]) -> Dict[str, Any]:
         if request.get("seed") is None:
-            # Auto-seeds are assigned centrally (front-end arrival
-            # order), never per worker — so the draw stream for a fixed
-            # arrival order is independent of the pool size.
-            request = {**request, "seed": self._request_counter}
-            self._request_counter += 1
+            request = {**request, "seed": self._next_seed()}
         shard = self._shard_for(request)
         start = time.monotonic()
         self.metrics.enqueued(int(request.get("n", 1)))
         try:
-            response = await self._call(shard, request)
+            response = await self._ask(shard, request)
         except Exception as exc:  # noqa: BLE001 - answered, not raised
             response = error_response(exc, request.get("id"))
+        self._settled(response["status"] == "ok", start)
+        return response
+
+    def _settled(self, ok: bool, start: float) -> None:
+        """A forwarded draw came back (``ok``: with its draws)."""
         self.metrics.dequeued()
-        if response["status"] == "ok":
+        if ok:
             self.metrics.served(time.monotonic() - start)
         else:
             self.metrics.errored()
-        return response
+
+    async def handle_frame(
+        self, ftype: int, body: bytes, request_id: Optional[int]
+    ) -> bytes:
+        """Answer one request frame (anything but HELLO).  Never raises.
+
+        DRAW and UPDATE frames pass through: the front end reads the
+        wheel id (to route), ``n`` or ``k`` (for its metrics) and the
+        seed flag — a DRAW without a seed gets the next auto-seed
+        stamped into its body — forwards the frame and returns the
+        shard's reply frame byte for byte.  The peek validates the body
+        as the shard's parser does, so a malformed one is answered here
+        with the ERROR frame a single process writes, and consumes no
+        auto-seed.  Other frames are decoded and served as dicts.
+        """
+        if ftype != frames_mod.FT_DRAW and ftype != frames_mod.FT_UPDATE:
+            return await SelectionService.handle_frame(self, ftype, body, request_id)
+        try:
+            wheel, count, needs_seed = frames_mod.peek_request(ftype, body)
+            self._refuse_if_draining()
+        except (ProtocolError, ServiceDrainingError) as exc:
+            return frames_mod.response_to_frame(error_response(exc, request_id))
+        if needs_seed:
+            body = frames_mod.stamp_draw_seed(body, self._next_seed())
+        shard = self._route(base_id(wheel))
+        start = time.monotonic()
+        draw = ftype == frames_mod.FT_DRAW
+        if draw:
+            self.metrics.enqueued(count)
+        try:
+            reply = await self._call(
+                shard, _FRAME, frames_mod.encode_frame(ftype, body, request_id)
+            )
+        except Exception as exc:  # noqa: BLE001 - answered, not raised
+            reply = frames_mod.response_to_frame(error_response(exc, request_id))
+        ok = reply[2] != frames_mod.FT_ERROR  # the header's frame-type byte
+        if draw:
+            self._settled(ok, start)
+        elif ok:
+            self.metrics.updated(count, time.monotonic() - start)
+        return reply
 
     # ------------------------------------------------------------------
     async def _metrics(self) -> Dict[str, Any]:
@@ -436,7 +569,7 @@ class ClusterService:
         if self._closed:
             return []
         replies = await asyncio.gather(
-            *(self._call(shard, {"op": "stats"}) for shard in self._shards),
+            *(self._ask(shard, {"op": "stats"}) for shard in self._shards),
             return_exceptions=True,
         )
         # Each shard's service reports itself as the one shard of a pool.
@@ -483,7 +616,7 @@ class ClusterService:
             await asyncio.gather(*pending, return_exceptions=True)
         for shard in self._shards:
             try:
-                await asyncio.wait_for(self._call(shard, None), timeout=10.0)
+                await asyncio.wait_for(self._ask(shard, None), timeout=10.0)
             except Exception:  # the shard is lost or stuck; reaped below
                 pass
         self._closed = True
@@ -502,8 +635,8 @@ class ClusterService:
             if shard.proc.is_alive():
                 shard.proc.terminate()
                 shard.proc.join(timeout=2.0)
-            if shard.writer is not None:
-                shard.writer.close()
+            if shard.transport is not None:
+                shard.transport.close()
             else:
                 shard.sock.close()
 

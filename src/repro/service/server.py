@@ -29,7 +29,7 @@ from __future__ import annotations
 import asyncio
 import collections
 import sys
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ProtocolError, ServiceDrainingError
 from repro.service import frames as frames_mod
@@ -92,35 +92,9 @@ class SelectionService:
         """Serve one decoded request dict.  Never raises."""
         request_id = request.get("id")
         try:
-            op = request["op"]
-            if op == "ping":
-                return ok_response(request_id, protocol=PROTOCOL_VERSION, workers=1)
-            if op == "metrics":
-                snapshot = self.metrics.snapshot(
-                    extra={"registry": self.registry.stats()}
-                )
-                return ok_response(request_id, metrics=snapshot)
-            if op == "stats":
-                return ok_response(request_id, stats=self.stats())
-            if self._draining:
-                self.metrics.drained()
-                raise ServiceDrainingError(
-                    "service is draining; retry against another replica"
-                )
-            if op == "register":
-                wheel_id, cached = self.registry.register(
-                    request["fitness"],
-                    method=request.get("method", "log_bidding"),
-                    policy=request.get("policy"),
-                    backend=request.get("backend"),
-                )
-                return ok_response(request_id, wheel=wheel_id, cached=cached)
-            if op == "update":
-                wheel_id, info = await self.scheduler.update(
-                    request["wheel"], request["indices"], request["values"]
-                )
-                return ok_response(request_id, wheel=wheel_id, **info)
-            # op == "draw" (decode_request admits nothing else)
+            response = self._answer(request)
+            if response is not None:
+                return response
             draws = await self.scheduler.draw(
                 request["wheel"],
                 request.get("n", 1),
@@ -130,6 +104,99 @@ class SelectionService:
             return ok_response(request_id, draws=draws)
         except Exception as exc:  # noqa: BLE001 - answered, not raised
             return error_response(exc, request_id)
+
+    def handle_batch(self, requests: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        """Answer decoded requests in arrival order, with no event loop.
+
+        Never raises.  Each run of consecutive draws goes through one
+        :meth:`MicroBatchScheduler.draw_batch`, so it coalesces per
+        wheel as concurrent draws do in :meth:`handle_request`; every
+        other request is answered in its place, after the draws before
+        it.  A cluster shard serves each socket read this way.
+        """
+        responses: List[Optional[Dict[str, Any]]] = []
+        run: List[int] = []  # positions of the open run's draws
+        draws: list = []
+
+        def flush_run() -> None:
+            for position, outcome in zip(run, self.scheduler.draw_batch(draws)):
+                request_id = requests[position].get("id")
+                responses[position] = (
+                    error_response(outcome, request_id)
+                    if isinstance(outcome, BaseException)
+                    else ok_response(request_id, draws=outcome)
+                )
+            run.clear()
+            draws.clear()
+
+        for request in requests:
+            if run and request.get("op") != "draw":
+                flush_run()
+            try:
+                response = self._answer(request)
+                if response is None:
+                    draws.append(
+                        (
+                            request["wheel"],
+                            request.get("n", 1),
+                            request.get("seed"),
+                            request.get("deadline_us"),
+                        )
+                    )
+                    run.append(len(responses))
+            except Exception as exc:  # noqa: BLE001 - answered, not raised
+                response = error_response(exc, request.get("id"))
+            responses.append(response)
+        if run:
+            flush_run()
+        return responses
+
+    def _answer(self, request: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+        """The response to any request but an admissible draw (None).
+
+        Raises what the request fails with.
+        """
+        request_id = request.get("id")
+        op = request["op"]
+        if op == "ping":
+            return ok_response(request_id, protocol=PROTOCOL_VERSION, workers=1)
+        if op == "metrics":
+            snapshot = self.metrics.snapshot(extra={"registry": self.registry.stats()})
+            return ok_response(request_id, metrics=snapshot)
+        if op == "stats":
+            return ok_response(request_id, stats=self.stats())
+        if self._draining:
+            self.metrics.drained()
+            raise ServiceDrainingError(
+                "service is draining; retry against another replica"
+            )
+        if op == "register":
+            wheel_id, cached = self.registry.register(
+                request["fitness"],
+                method=request.get("method", "log_bidding"),
+                policy=request.get("policy"),
+                backend=request.get("backend"),
+            )
+            return ok_response(request_id, wheel=wheel_id, cached=cached)
+        if op == "update":
+            wheel_id, info = self.scheduler.update(
+                request["wheel"], request["indices"], request["values"]
+            )
+            return ok_response(request_id, wheel=wheel_id, **info)
+        return None  # op == "draw" (decode_request admits nothing else)
+
+    async def handle_frame(
+        self, ftype: int, body: bytes, request_id: Optional[int]
+    ) -> bytes:
+        """Answer one request frame (anything but HELLO) with its reply frame.
+
+        Never raises: a malformed body is answered with an ERROR frame.
+        """
+        try:
+            request = frames_mod.frame_to_request(ftype, body, request_id)
+        except ProtocolError as exc:
+            return frames_mod.response_to_frame(error_response(exc, request_id))
+        return frames_mod.response_to_frame(await self.handle_request(request))
 
     def stats(self) -> Dict[str, Any]:
         """The ``stats`` RPC in single-process form.
@@ -206,9 +273,11 @@ async def _serve_framed_connection(
 
     The connection keeps reading frames while earlier ones are served,
     up to :data:`MAX_IN_FLIGHT` at a time.  Each request starts as a
-    task in arrival order — so admission, auto-seeds and an UPDATE's
-    registry write happen in the order the client sent them — and
-    replies are written in request order.
+    ``service.handle_frame`` task in arrival order — so admission,
+    auto-seeds and an UPDATE's registry write happen in the order the
+    client sent them — and replies are written in request order.  A
+    cluster's ``handle_frame`` forwards DRAW and UPDATE frames to their
+    shard as they are and hands back the shard's reply frame.
 
     Malformed frame *bodies* are answered with ERROR frames and the
     connection continues (framing stays synchronized because the body
@@ -242,8 +311,8 @@ async def _serve_framed_connection(
         replies.append([frame, None])
         flush()
 
-    async def serve(cell: list, request: Dict[str, Any]) -> None:
-        cell[0] = frames_mod.response_to_frame(await service.handle_request(request))
+    async def serve(cell: list, ftype: int, body: bytes, request_id) -> None:
+        cell[0] = await service.handle_frame(ftype, body, request_id)
         flush()
 
     async def settle(limit: int) -> None:
@@ -285,13 +354,12 @@ async def _serve_framed_connection(
                     f"frame type {ftype:#04x} requires feature {needed!r}, "
                     f"absent from this connection's HELLO"
                 )
-            request = frames_mod.frame_to_request(ftype, body, request_id)
         except ProtocolError as exc:
             reply(frames_mod.response_to_frame(error_response(exc, request_id)))
             continue
         cell = [None, None]
         replies.append(cell)
-        cell[1] = loop.create_task(serve(cell, request))
+        cell[1] = loop.create_task(serve(cell, ftype, body, request_id))
     await settle(0)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core import RouletteWheel, get_method
 from repro.core.fitness import exact_probabilities
+from repro.core.methods.binary_search import BinarySearchSelection
 from repro.engine import (
     DEFAULT_CHUNK_BYTES,
     KERNELS,
@@ -16,6 +17,7 @@ from repro.engine import (
     compile_wheel,
     stream_counts,
 )
+from repro.engine.compiled import _SORTED_SPINS
 from repro.errors import DegenerateFitnessError, UnknownMethodError
 
 #: Methods with a bit-faithful compiled kernel (must match _FAITHFUL_KERNEL).
@@ -223,3 +225,75 @@ def test_compile_wheel_preserves_bound_method(fitness):
     assert compiled.method == "prefix_sum"
     assert compiled.kernel == "searchsorted"
     assert compile_wheel(fitness).method == "log_bidding"
+
+
+# ---------------------------------------------------------------------------
+# The sorted-spin lookup returns the unsorted search's integers.
+# ---------------------------------------------------------------------------
+def _unsorted_lookup(wheel, spins):
+    """The plain lookup: search the unsorted spins, clamp, repair zeros."""
+    f = wheel.fitness.values
+    prefix = wheel._prefix
+    scaled = spins * prefix[-1]
+    idx = np.searchsorted(prefix, scaled, side="right").astype(np.int64)
+    np.minimum(idx, wheel.n - 1, out=idx)
+    for bad in np.flatnonzero(f[idx] == 0.0):
+        idx[bad] = BinarySearchSelection._skip_zeros(f, prefix, int(idx[bad]), float(scaled[bad]))
+    return idx
+
+
+#: Integer weights summing to 64, so every prefix boundary divided by the
+#: total is an exact spin; zeros make zero-width intervals on them.
+_BOUNDARY_WHEEL = np.array([0.0, 5.0, 0.0, 0.0, 3.0, 3.0, 3.0, 0.0, 20.0, 1.0, 29.0, 0.0])
+
+_LOOKUP_WHEELS = {
+    "zeros": _BOUNDARY_WHEEL,
+    "tiny": np.array([1e-300, 2.0, 1e-300, 0.0, 1e-300, 7.0, 1e-300]),
+    "repeated": np.repeat([0.5, 0.25, 0.5], 40),
+    "wide": np.random.default_rng(3).uniform(0.0, 1.0, 5_000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOOKUP_WHEELS))
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_sorted_spin_lookup_matches_unsorted_search(name, offset):
+    wheel = CompiledWheel(_LOOKUP_WHEELS[name], "binary_search", kernel="searchsorted")
+    size = _SORTED_SPINS + offset
+    rng = np.random.default_rng([size, len(name)])
+    spins = rng.random(size)
+    # Exact prefix boundaries at random positions, from the spin 0.0 to
+    # the spin 1.0 that only the clamp keeps on the wheel.
+    boundaries = np.concatenate(([0.0], wheel._prefix / wheel._prefix[-1]))
+    spots = rng.choice(size, size=min(size, boundaries.size), replace=False)
+    spins[spots] = boundaries[: spots.size]
+    want = _unsorted_lookup(wheel, spins)
+    got = wheel._lookup_searchsorted(spins.copy())
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    assert (wheel.fitness.values[got] > 0.0).all()
+
+
+def test_boundary_spins_hit_every_boundary():
+    """The boundary wheel's spins land exactly on its prefix sums."""
+    wheel = CompiledWheel(_BOUNDARY_WHEEL, "binary_search", kernel="searchsorted")
+    spins = wheel._prefix[:-1] / wheel._prefix[-1]
+    np.testing.assert_array_equal(spins * wheel._prefix[-1], wheel._prefix[:-1])
+
+
+@pytest.mark.parametrize("total", [_SORTED_SPINS - 1, _SORTED_SPINS, 4 * _SORTED_SPINS])
+def test_version_wheel_segments_equal_solo_draws_across_the_crossover(total):
+    """An updated (version) wheel serves from ``searchsorted``; a batch
+    whose total crosses the sorted-spin threshold while each request
+    stays below it still draws what the requests draw alone."""
+    from repro.rng.streams import SplitMixStream
+
+    root = CompiledWheel(np.arange(1.0, 301.0), "log_bidding", kernel="auto")
+    version = root.apply_updates([0, 7, 299], [0.0, 40.0, 1e-300])
+    assert version.kernel == "searchsorted"
+    sizes = [total // 3, total // 3, total - 2 * (total // 3)]
+    batch = version.select_segments([(n, SplitMixStream(100 + i)) for i, n in enumerate(sizes)])
+    solo = np.concatenate(
+        [version.select_many(n, rng=SplitMixStream(100 + i)) for i, n in enumerate(sizes)]
+    )
+    np.testing.assert_array_equal(batch, solo)
+    assert (version.fitness.values[batch] > 0.0).all()

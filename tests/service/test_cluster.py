@@ -305,6 +305,9 @@ class TestClusterService:
             assert "store" not in shard["registry"]
         # Exactly one compile happened across the pool for the one wheel.
         assert sum(s["registry"]["compiles"] for s in stats["shards"]) == 1
+        # The shard that served the draw counted its batch and latency.
+        assert sum(s["batch_sizes"]["batches"] for s in stats["shards"]) == 1
+        assert sum(s["latency"]["count"] for s in stats["shards"]) == 1
         assert metrics["workers"] == 2 and len(metrics["shards"]) == 2
 
     def test_shard_rebuilds_an_evicted_root_by_compiling_it(self):

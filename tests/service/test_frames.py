@@ -164,6 +164,11 @@ class TestRequestFrames:
             frames.frame_to_request(frames.FT_DRAW, body[:-1], None)
         with pytest.raises(ProtocolError):
             frames.frame_to_request(frames.FT_DRAW, body + b"\x00", None)
+        # A wheel id, or any wire string, that is not UTF-8.
+        with pytest.raises(ProtocolError):
+            frames.frame_to_request(frames.FT_DRAW, b"\x00\x05w1:a\xff" + body[7:], None)
+        with pytest.raises(ProtocolError):
+            frames.parse_value(memoryview(b"\x05\x00\x00\x00\x01\xff"))
         with pytest.raises(ProtocolError):
             frames.request_to_frame({"op": "draw", "wheel": "w1:ab", "n": 0})
         with pytest.raises(ProtocolError):

@@ -1,16 +1,20 @@
-"""Pipelined framed connections and the event-loop shard channel.
+"""Pipelined framed connections and the cluster's shard channel.
 
 A framed connection keeps reading while earlier requests are served:
 requests start in arrival order and replies come back in request order.
+A cluster passes DRAW and UPDATE frames through to its shards and their
+reply frames back, byte for byte what a single process writes.
 """
 
 import asyncio
+import struct
 
 import numpy as np
 import pytest
 
+from repro.errors import ServiceError
 from repro.service import frames
-from repro.service.cluster import ClusterService
+from repro.service.cluster import _FRAME, _PICKLED, ClusterService, _message, _pickled, _Shard
 from repro.service.protocol import PROTOCOL_VERSION
 from repro.service.registry import version_id, wheel_digest
 from repro.service.server import SelectionService, start_tcp_server
@@ -210,3 +214,124 @@ def test_spawn_cluster_answers_like_fork_past_the_frame_seed_range():
     spawned, forked = serve("spawn"), serve("fork")
     assert spawned["status"] == "ok" and spawned["id"] == 7
     np.testing.assert_array_equal(spawned["draws"], forked["draws"])
+
+
+async def _raw_replies(service, payload, replies):
+    """Send ``payload`` on a fresh framed connection; the first
+    ``replies`` reply frames, each as the exact bytes received."""
+    server = await start_tcp_server(service, "127.0.0.1", 0)
+    port = server.sockets[0].getsockname()[1]
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(payload)
+        await writer.drain()
+        out = []
+        for _ in range(replies):
+            header = await reader.readexactly(frames.HEADER_SIZE)
+            _, body_len, _ = frames.parse_header(header)
+            out.append(header + await reader.readexactly(body_len))
+        return out
+    finally:
+        writer.close()
+        await writer.wait_closed()
+        server.close()
+        await server.wait_closed()
+        await service.close()
+
+
+def test_forwarded_frames_answer_byte_identically():
+    """One pipelined burst over one framed connection: a 2-shard cluster
+    writes exactly the reply bytes a single process writes."""
+    second = FITNESS[::-1] * 0.5
+    roots = [wheel_digest(f, "log_bidding", "auto") for f in (FITNESS, second)]
+    indices, values = np.array([0, 17, 63], dtype=np.int64), np.array([0.0, 9.5, 1e-300])
+    child = version_id(roots[1], indices, values)
+    # A DRAW body the parser refuses (a trailing byte) and one whose
+    # wheel id is not UTF-8: both answered with ERROR frames, neither
+    # consuming an auto-seed.
+    trailing = frames.request_to_frame({"op": "draw", "wheel": roots[0], "n": 3})
+    trailing = trailing[:4] + struct.pack("!I", len(trailing) - 15) + trailing[8:] + b"\0"
+    not_utf8 = frames.encode_frame(
+        frames.FT_DRAW, struct.pack("!H", 2) + b"\xff\xfe" + struct.pack("!IBqd", 1, 0, 0, 0.0), 99
+    )
+    payload = (
+        _frames(
+            {"op": "draw", "wheel": roots[0], "n": 5, "seed": 3, "id": 1},
+            {"op": "draw", "wheel": roots[1], "n": 700, "seed": 2**63 - 1},
+            {"op": "draw", "wheel": roots[0], "n": 2, "id": 2},
+            {"op": "draw", "wheel": roots[1], "n": 9},
+        )
+        + trailing
+        + not_utf8
+        + _frames(
+            {"op": "update", "wheel": roots[1], "indices": indices, "values": values, "id": 3},
+            {"op": "draw", "wheel": child, "n": 300, "seed": 8, "id": 4},
+            {"op": "draw", "wheel": child, "n": 4, "id": 5},
+            {"op": "draw", "wheel": "w1:" + "0" * 64, "n": 1, "seed": 1, "id": 6},
+            {"op": "draw", "wheel": roots[0], "n": 6, "deadline_us": 1e9, "id": 7},
+        )
+    )
+    count = 11
+
+    def serve(service):
+        async def flow():
+            for fitness in (FITNESS, second):
+                await service.handle_request({"op": "register", "fitness": fitness})
+            return await _raw_replies(service, payload, count)
+
+        return _run(flow())
+
+    single = serve(SelectionService(seed=6))
+    cluster = serve(ClusterService(workers=2, seed=6))
+    assert cluster == single
+    answers = [frames.frame_to_response(*_parsed(r)) for r in single]
+    assert [a["status"] for a in answers] == ["ok"] * 4 + ["error"] * 2 + ["ok"] * 3 + [
+        "error",
+        "ok",
+    ]
+    assert answers[4]["error"] == answers[5]["error"] == "ProtocolError"
+    assert answers[6]["wheel"] == child and answers[9]["error"] == "UnknownWheelError"
+    assert [len(answers[i]["draws"]) for i in (0, 1, 2, 3, 7, 8, 10)] == [5, 700, 2, 9, 300, 4, 6]
+
+
+def _parsed(frame: bytes):
+    ftype, _, request_id = frames.parse_header(frame[: frames.HEADER_SIZE])
+    return ftype, frame[frames.HEADER_SIZE :], request_id
+
+
+def test_reply_stream_cut_at_any_byte_fails_only_what_is_owed():
+    """The front end's reply splitter, fed a shard's reply stream cut at
+    every byte offset and then EOF: complete replies resolve with their
+    exact bytes, every other outstanding request fails with the typed
+    shard-lost error, and no partial reply is ever delivered."""
+    bodies = {
+        1: frames.response_to_frame({"status": "ok", "draws": np.arange(5), "id": 1}),
+        2: _pickled({"status": "ok", "wheel": "w1:ab"}),
+        3: frames.response_to_frame({"status": "ok", "draws": np.arange(2)}),
+    }
+    kinds = {1: _FRAME, 2: _PICKLED, 3: _FRAME}
+    stream = b"".join(_message(kinds[tag], tag, bodies[tag]) for tag in bodies)
+    ends, end = {}, 0
+    for tag, body in bodies.items():
+        end += len(_message(kinds[tag], tag, body))
+        ends[tag] = end
+    loop = asyncio.new_event_loop()
+    try:
+        for cut in range(len(stream) + 1):
+            shard = _Shard(1, None, None)
+            owed = {tag: loop.create_future() for tag in bodies}
+            shard.outstanding.update(owed)
+            for i in range(0, cut, 7):  # arbitrary read boundaries
+                shard.data_received(stream[i : min(cut, i + 7)])
+            shard.connection_lost(None)
+            assert shard.lost and not shard.outstanding
+            for tag, future in owed.items():
+                if ends[tag] <= cut:
+                    want = bodies[tag] if kinds[tag] == _FRAME else {"status": "ok", "wheel": "w1:ab"}
+                    assert future.result() == want
+                else:
+                    error = future.exception()
+                    assert isinstance(error, ServiceError)
+                    assert str(error).startswith("shard 1 exited")
+    finally:
+        loop.close()
