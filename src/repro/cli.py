@@ -155,7 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-delay-us",
         type=float,
         default=200.0,
-        help="serve only: batching delay bound in microseconds (default 200)",
+        help=(
+            "serve only: batching delay bound in microseconds (default 200); "
+            "with --workers, shards answer each read at once and never wait"
+        ),
     )
     parser.add_argument(
         "--queue-limit",

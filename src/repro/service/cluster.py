@@ -2,13 +2,13 @@
 
 One asyncio front end, N worker processes.  Each worker runs a
 :class:`~repro.service.server.SelectionService` (its own registry and
-micro-batching scheduler) in a plain blocking loop, so draws for a
+micro-batching scheduler) behind a blocking socket loop, so draws for a
 wheel batch densely on the core that owns it.  The front end only
-routes, stamps auto-seeds and correlates: a framed client's DRAW or
-UPDATE frame goes to the owning shard as its own bytes and the shard's
-reply frame comes back to the client byte for byte; every other request
-crosses as a pickled dict.  Either way a cluster answers every request
-— errors included — exactly as one process does.
+routes, stamps auto-seeds, sheds and correlates: a framed client's DRAW
+or UPDATE crosses to the owning shard as a frame and comes back as the
+shard's reply frame; every other request crosses as a pickled dict.
+Either way a cluster answers every request — errors included — exactly
+as one process does.
 
 The three structural pieces:
 
@@ -24,12 +24,12 @@ The three structural pieces:
   a u64 front-end tag.  The front end queues each shard's messages and
   writes them once per event-loop iteration, splits the replies out of
   one receive buffer and resolves each request's future by tag.  The
-  shard has no event loop: it blocks on ``recv``, answers every
-  complete message of the read in one synchronous pass — consecutive
-  draws coalesced per wheel by the scheduler's flush core — and writes
-  all the replies with one ``sendall``.  EOF on a shard's channel is
-  what marks the shard lost; a reply cut short by it never reaches a
-  client.
+  shard blocks on ``recv``, answers every complete message of the read
+  together — each a task on its event loop, so the read's draws
+  coalesce per wheel in its scheduler — and writes all the replies with
+  one ``sendall``.  EOF on a shard's
+  channel is what marks the shard lost; a reply cut short by it never
+  reaches a client.
 * **Determinism per shard**: a request's draws are the pure function
   ``request_stream(service_seed, wheel_key, request_seed)`` of data that
   never depends on which worker executes or how requests coalesce — so
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import asyncio
 import bisect
+import functools
 import hashlib
 import multiprocessing as mp
 import pickle
@@ -55,13 +56,13 @@ import struct
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import ProtocolError, ServiceDrainingError, ServiceError
+from repro.errors import ServiceDrainingError, ServiceError, ServiceOverloadedError
 from repro.service import frames as frames_mod
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import PROTOCOL_VERSION, error_response, ok_response
 from repro.service.registry import DEFAULT_MAX_WHEELS, base_id, wheel_digest, wheel_tokens
 from repro.service.scheduler import BatchConfig
-from repro.service.server import SelectionService
+from repro.service.server import SelectionService, answer_frame
 
 __all__ = ["HashRing", "ClusterService", "DEFAULT_VNODES"]
 
@@ -181,22 +182,28 @@ def _worker_loop(
 ) -> None:
     """Answer the front end's messages through the shard's own :class:`SelectionService`.
 
-    No event loop: the shard blocks on ``recv``, answers every complete
-    message of the read in arrival order with one
-    :meth:`SelectionService.handle_batch` call — so draws that arrived
-    together coalesce per wheel, as concurrent draws do in a single
-    process's micro-batcher — and writes all the replies with one
-    ``sendall``.  A frame message is decoded and answered with the reply
-    frame a single process writes; a pickled dict with a pickled dict.
-    A pickled ``None`` asks the shard to stop: the messages before it
-    are answered, then it is acknowledged — the parent holds its drain
-    barrier on that ack, which is what makes shutdown lossless.  EOF
-    means the front end is gone.
+    The shard blocks on ``recv`` and answers every complete message of
+    the read together: each becomes a request task on the shard's event
+    loop, in arrival order, and the replies are collected as the tasks
+    finish — so the draws of one read coalesce per wheel in the
+    micro-batcher, as concurrent draws do in a single process — then
+    written with one ``sendall``.  A frame message is answered with the
+    reply frame a single process writes, a pickled dict with a pickled
+    dict.  A pickled ``None`` asks the shard to stop: the messages
+    before it are answered, then it is acknowledged — the parent holds
+    its drain barrier on that ack, which is what makes shutdown
+    lossless.  EOF means the front end is gone.
     """
     service = SelectionService(seed=seed, config=config, max_wheels=max_wheels, policy=policy)
+    asyncio.run(_serve_reads(sock, service))
+
+
+async def _serve_reads(sock: socket.socket, service: SelectionService) -> None:
     inbox = bytearray()
     while True:
         try:
+            # Blocks the loop on purpose: every task of the last read
+            # has been answered, so nothing else is waiting to run.
             data = sock.recv(_RECV_BYTES)
         except OSError:
             return
@@ -206,7 +213,7 @@ def _worker_loop(
         messages = _split(inbox)
         if not messages:
             continue
-        replies, stop = _answer(service, messages)
+        replies, stop = await _answer(service, messages)
         try:
             sock.sendall(replies)
         except OSError:
@@ -215,37 +222,33 @@ def _worker_loop(
             return
 
 
-def _answer(service: SelectionService, messages) -> Tuple[bytes, bool]:
-    """The replies to ``messages``, concatenated, and whether to stop.
-
-    Frames arrive already validated: the front end forwards only bodies
-    its peek accepted, with a header it encoded itself.
-    """
-    envelopes: List[Tuple[int, int]] = []
-    requests: List[Dict[str, Any]] = []
+async def _answer(service: SelectionService, messages) -> Tuple[bytes, bool]:
+    """The replies to ``messages``, concatenated, and whether to stop."""
+    tasks = []
     stop = None
     for kind, tag, body in messages:
         if kind == _FRAME:
             ftype, _, request_id = frames_mod.parse_header(body[: frames_mod.HEADER_SIZE])
-            request = frames_mod.frame_to_request(
-                ftype, body[frames_mod.HEADER_SIZE :], request_id
-            )
+            reply = service.handle_frame(ftype, body[frames_mod.HEADER_SIZE :], request_id)
         else:
             request = pickle.loads(body)
             if request is None:
                 stop = tag
                 break
-        envelopes.append((kind, tag))
-        requests.append(request)
+            reply = _pickled_reply(service, request)
+        # Tasks start in creation order, so requests are admitted in
+        # the order they arrived.
+        tasks.append((kind, tag, asyncio.ensure_future(reply)))
     out = bytearray()
-    for (kind, tag), response in zip(envelopes, service.handle_batch(requests)):
-        if kind == _FRAME:
-            out += _message(kind, tag, frames_mod.response_to_frame(response))
-        else:
-            out += _message(kind, tag, _pickled(response))
+    for kind, tag, task in tasks:
+        out += _message(kind, tag, await task)
     if stop is not None:
         out += _message(_PICKLED, stop, _pickled(ok_response()))
     return bytes(out), stop is not None
+
+
+async def _pickled_reply(service: SelectionService, request: Dict[str, Any]) -> bytes:
+    return _pickled(await service.handle_request(request))
 
 
 # ----------------------------------------------------------------------
@@ -262,6 +265,8 @@ class _Shard(asyncio.Protocol):
         self.sock = sock
         self.proc = proc
         self.outstanding: Dict[int, "asyncio.Future"] = {}
+        #: Draws sent and not yet answered, bounded by ``queue_limit``.
+        self.draws = 0
         self.routed = 0
         self.transport: Optional[asyncio.Transport] = None
         self.lost = False
@@ -315,6 +320,12 @@ class ClusterService:
     single-process ones.  Construct it *before* any event loop is
     running (workers are forked/spawned in ``__init__``); the shard
     channels open on the loop of the first request that reaches a shard.
+
+    A shard answers each socket read as soon as it is read, so its
+    scheduler never waits out ``max_delay_us`` for more draws, and its
+    ``deadline_us`` clock starts when it reads the request.  The front
+    end keeps the ``queue_limit`` bound instead: a draw for a shard that
+    already owes that many is shed with an ``overloaded`` response.
 
     Parameters
     ----------
@@ -414,6 +425,16 @@ class ClusterService:
     async def _ask(self, shard: _Shard, request: Optional[Dict[str, Any]]) -> Dict[str, Any]:
         return await self._call(shard, _PICKLED, _pickled(request))
 
+    async def _forward(
+        self, shard: _Shard, request: Dict[str, Any], framed: bool
+    ) -> Dict[str, Any]:
+        """``request``'s response from ``shard``, over the envelope ``framed`` picks."""
+        if not framed:
+            return await self._ask(shard, request)
+        reply = await self._call(shard, _FRAME, frames_mod.request_to_frame(request))
+        ftype, _, request_id = frames_mod.parse_header(reply[: frames_mod.HEADER_SIZE])
+        return frames_mod.frame_to_response(ftype, reply[frames_mod.HEADER_SIZE :], request_id)
+
     def _route(self, key: str) -> _Shard:
         shard = self._shards[self.ring.lookup(key)]
         shard.routed += 1
@@ -467,8 +488,18 @@ class ClusterService:
     draining = SelectionService.draining
     handle_line = SelectionService.handle_line
 
-    async def handle_request(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Serve one decoded request dict.  Never raises."""
+    async def handle_request(
+        self, request: Dict[str, Any], *, framed: bool = False
+    ) -> Dict[str, Any]:
+        """Serve one decoded request dict.  Never raises.
+
+        ``framed`` says the request came as a client frame and its
+        response goes back as one: a draw or update then crosses to its
+        shard as a frame and the shard's reply frame is decoded here.
+        Otherwise it crosses as a pickled dict, the only envelope that
+        carries every dict the service answers (seeds past 2**63, ids
+        that are not u64, ``n = 0``).
+        """
         request_id = request.get("id")
         try:
             op = request["op"]
@@ -483,76 +514,54 @@ class ClusterService:
             self._refuse_if_draining()
             if op not in ("register", "update"):
                 # op == "draw" (decode_request admits nothing else)
-                return await self._draw(request)
+                return await self._draw(request, framed)
             start = time.monotonic()
-            response = await self._ask(self._shard_for(request), request)
+            shard = self._shard_for(request)
+            response = await self._forward(shard, request, framed and op == "update")
             if op == "update" and response["status"] == "ok":
                 self.metrics.updated(len(request["indices"]), time.monotonic() - start)
             return response
         except Exception as exc:  # noqa: BLE001 - answered, not raised
             return error_response(exc, request_id)
 
-    async def _draw(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    async def _draw(self, request: Dict[str, Any], framed: bool) -> Dict[str, Any]:
+        shard = self._shard_for(request)
+        if shard.draws >= self.config.queue_limit:
+            # A shard answers each read at once, so its own scheduler
+            # rarely holds a backlog: the bound is kept here instead.
+            self.metrics.shed()
+            raise ServiceOverloadedError(
+                f"queue limit {self.config.queue_limit} reached "
+                f"({shard.draws} draws owed by shard {shard.index}); request shed"
+            )
         if request.get("seed") is None:
             request = {**request, "seed": self._next_seed()}
-        shard = self._shard_for(request)
         start = time.monotonic()
         self.metrics.enqueued(int(request.get("n", 1)))
+        shard.draws += 1
         try:
-            response = await self._ask(shard, request)
+            response = await self._forward(shard, request, framed)
         except Exception as exc:  # noqa: BLE001 - answered, not raised
             response = error_response(exc, request.get("id"))
-        self._settled(response["status"] == "ok", start)
-        return response
-
-    def _settled(self, ok: bool, start: float) -> None:
-        """A forwarded draw came back (``ok``: with its draws)."""
+        finally:
+            shard.draws -= 1
         self.metrics.dequeued()
-        if ok:
+        if response["status"] == "ok":
             self.metrics.served(time.monotonic() - start)
         else:
             self.metrics.errored()
+        return response
 
     async def handle_frame(
         self, ftype: int, body: bytes, request_id: Optional[int]
     ) -> bytes:
         """Answer one request frame (anything but HELLO).  Never raises.
 
-        DRAW and UPDATE frames pass through: the front end reads the
-        wheel id (to route), ``n`` or ``k`` (for its metrics) and the
-        seed flag — a DRAW without a seed gets the next auto-seed
-        stamped into its body — forwards the frame and returns the
-        shard's reply frame byte for byte.  The peek validates the body
-        as the shard's parser does, so a malformed one is answered here
-        with the ERROR frame a single process writes, and consumes no
-        auto-seed.  Other frames are decoded and served as dicts.
+        The frame is decoded and served as a ``framed`` request, so a
+        DRAW or UPDATE crosses to its shard as a frame.
         """
-        if ftype != frames_mod.FT_DRAW and ftype != frames_mod.FT_UPDATE:
-            return await SelectionService.handle_frame(self, ftype, body, request_id)
-        try:
-            wheel, count, needs_seed = frames_mod.peek_request(ftype, body)
-            self._refuse_if_draining()
-        except (ProtocolError, ServiceDrainingError) as exc:
-            return frames_mod.response_to_frame(error_response(exc, request_id))
-        if needs_seed:
-            body = frames_mod.stamp_draw_seed(body, self._next_seed())
-        shard = self._route(base_id(wheel))
-        start = time.monotonic()
-        draw = ftype == frames_mod.FT_DRAW
-        if draw:
-            self.metrics.enqueued(count)
-        try:
-            reply = await self._call(
-                shard, _FRAME, frames_mod.encode_frame(ftype, body, request_id)
-            )
-        except Exception as exc:  # noqa: BLE001 - answered, not raised
-            reply = frames_mod.response_to_frame(error_response(exc, request_id))
-        ok = reply[2] != frames_mod.FT_ERROR  # the header's frame-type byte
-        if draw:
-            self._settled(ok, start)
-        elif ok:
-            self.metrics.updated(count, time.monotonic() - start)
-        return reply
+        handle = functools.partial(self.handle_request, framed=True)
+        return await answer_frame(handle, ftype, body, request_id)
 
     # ------------------------------------------------------------------
     async def _metrics(self) -> Dict[str, Any]:

@@ -80,8 +80,6 @@ __all__ = [
     "frame_to_response",
     "hello_frame",
     "read_frame",
-    "peek_request",
-    "stamp_draw_seed",
 ]
 
 #: First byte of every binary frame; never the first byte of JSON-lines.
@@ -416,47 +414,25 @@ def _encode_draw_body(request: Dict[str, Any]) -> bytes:
     )
 
 
-def _wheel_field(mv: memoryview, tail: int) -> Tuple[str, int]:
-    """The ``wheel_len:u16 wheel:bytes`` prefix of a DRAW or UPDATE body
-    followed by at least ``tail`` bytes; returns ``(wheel id, offset past
-    it)``."""
+def _parse_draw_body(body: bytes) -> Dict[str, Any]:
+    mv = memoryview(body)
     _need(mv, 0, 2)
     wlen = _U16.unpack_from(mv, 0)[0]
-    _need(mv, 2, wlen + tail)
-    return _utf8(mv[2 : 2 + wlen]), 2 + wlen
-
-
-def _draw_fields(body: bytes) -> Tuple[str, int, int, int, float]:
-    """``(wheel, n, opts, seed, deadline)`` of a well-formed DRAW body."""
-    mv = memoryview(body)
-    wheel, offset = _wheel_field(mv, _DRAW_TAIL.size)
-    if offset + _DRAW_TAIL.size != len(body):
+    _need(mv, 2, wlen + _DRAW_TAIL.size)
+    if 2 + wlen + _DRAW_TAIL.size != len(body):
         raise ProtocolError(
-            f"{len(body) - offset - _DRAW_TAIL.size} trailing bytes in DRAW body"
+            f"{len(body) - 2 - wlen - _DRAW_TAIL.size} trailing bytes in DRAW body"
         )
-    n, opts, seed, deadline = _DRAW_TAIL.unpack_from(mv, offset)
+    wheel = _utf8(mv[2 : 2 + wlen])
+    n, opts, seed, deadline = _DRAW_TAIL.unpack_from(mv, 2 + wlen)
     if n <= 0:
         raise ProtocolError(f"draw 'n' must be positive, got {n}")
-    return wheel, n, opts, seed, deadline
-
-
-def _parse_draw_body(body: bytes) -> Dict[str, Any]:
-    wheel, n, opts, seed, deadline = _draw_fields(body)
     request: Dict[str, Any] = {"op": "draw", "wheel": wheel, "n": n}
     if opts & _OPT_HAS_SEED:
         request["seed"] = seed
     if opts & _OPT_HAS_DEADLINE:
         request["deadline_us"] = deadline
     return request
-
-
-def stamp_draw_seed(body: bytes, seed: int) -> bytes:
-    """A well-formed DRAW body, copied, now carrying ``seed``."""
-    out = bytearray(body)
-    opts_at = len(out) - _DRAW_TAIL.size + 4  # past n:u32
-    out[opts_at] |= _OPT_HAS_SEED
-    _I64.pack_into(out, opts_at + 1, seed)
-    return bytes(out)
 
 
 # UPDATE body: wheel_len:u16 wheel:bytes k:u32 indices:i64[k] values:f64[k].
@@ -497,43 +473,24 @@ def _encode_update_body(request: Dict[str, Any]) -> bytes:
     )
 
 
-def _update_fields(body: bytes) -> Tuple[str, int, int]:
-    """``(wheel, k, offset of the indices)`` of a well-formed UPDATE body."""
+def _parse_update_body(body: bytes) -> Dict[str, Any]:
     mv = memoryview(body)
-    wheel, offset = _wheel_field(mv, 4)
-    count = _U32.unpack_from(mv, offset)[0]
+    _need(mv, 0, 2)
+    wlen = _U16.unpack_from(mv, 0)[0]
+    _need(mv, 2, wlen + 4)
+    wheel = _utf8(mv[2 : 2 + wlen])
+    count = _U32.unpack_from(mv, 2 + wlen)[0]
     if count == 0:
         raise ProtocolError("UPDATE delta is empty")
-    offset += 4
-    if offset + 16 * count != len(body):
+    offset = 2 + wlen + 4
+    nbytes = count * 8
+    if offset + 2 * nbytes != len(body):
         raise ProtocolError(
             f"UPDATE body length {len(body)} inconsistent with count {count}"
         )
-    return wheel, count, offset
-
-
-def _parse_update_body(body: bytes) -> Dict[str, Any]:
-    wheel, count, offset = _update_fields(body)
-    mv = memoryview(body)
-    nbytes = count * 8
     indices = np.frombuffer(mv[offset : offset + nbytes], dtype="<i8")
     values = np.frombuffer(mv[offset + nbytes : offset + 2 * nbytes], dtype="<f8")
     return {"op": "update", "wheel": wheel, "indices": indices, "values": values}
-
-
-def peek_request(ftype: int, body: bytes) -> Tuple[str, int, bool]:
-    """``(wheel id, n or k, needs a seed)`` of a DRAW or UPDATE body.
-
-    Validates the body exactly as :func:`frame_to_request` does, raising
-    the same :class:`ProtocolError`, so whoever routes a frame by its
-    peek forwards only bodies the receiving end will parse.  Only a DRAW
-    without a seed needs one.
-    """
-    if ftype == FT_UPDATE:
-        wheel, count, _ = _update_fields(body)
-        return wheel, count, False
-    wheel, n, opts, _, _ = _draw_fields(body)
-    return wheel, n, not opts & _OPT_HAS_SEED
 
 
 # DRAWS body: dtype:u8 count:u32 raw bytes.

@@ -36,7 +36,7 @@ import asyncio
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -86,13 +86,9 @@ class _Pending:
 
     n: int
     seed: int
+    future: "asyncio.Future[np.ndarray]"
     enqueued_at: float
     deadline: Optional[float] = None  # absolute monotonic time
-    #: Awaited by :meth:`MicroBatchScheduler.draw`; None for the
-    #: synchronous :meth:`MicroBatchScheduler.draw_batch`.
-    future: Optional["asyncio.Future[np.ndarray]"] = None
-    #: The draws, or the exception that failed them, once flushed.
-    outcome: Union[np.ndarray, BaseException, None] = None
 
 
 @dataclass
@@ -102,18 +98,6 @@ class _WheelQueue:
     key: int  # substream key material from the wheel id
     pending: List[_Pending] = field(default_factory=list)
     drainer: Optional["asyncio.Task"] = None
-
-
-def _settle(req: _Pending, outcome: Union[np.ndarray, BaseException]) -> None:
-    """Record a flushed request's outcome and complete its future, if any."""
-    req.outcome = outcome
-    future = req.future
-    if future is None or future.done():
-        return
-    if isinstance(outcome, BaseException):
-        future.set_exception(outcome)
-    else:
-        future.set_result(outcome)
 
 
 class MicroBatchScheduler:
@@ -191,51 +175,6 @@ class MicroBatchScheduler:
         DeadlineExceededError
             The request was queued but its deadline passed unserved.
         """
-        future = asyncio.get_running_loop().create_future()
-        queue, _ = self._admit(wheel_id, n, seed, deadline_us, future)
-        if queue.pending and (queue.drainer is None or queue.drainer.done()):
-            queue.drainer = asyncio.ensure_future(self._drain(wheel_id, queue))
-        return await future
-
-    def draw_batch(
-        self, requests: Sequence[Tuple[str, int, Optional[int], Optional[float]]]
-    ) -> List[Union[np.ndarray, BaseException]]:
-        """Serve ``(wheel_id, n, seed, deadline_us)`` draws without an event loop.
-
-        The synchronous twin of :meth:`draw` for a run of requests that
-        arrived together: each is admitted in order (the same checks,
-        ``queue_limit`` and auto-seeds), the run is flushed per wheel by
-        the same core the asyncio drainer calls, and each request's
-        draws — or the exception :meth:`draw` would have raised — come
-        back in request order.
-        """
-        admitted: List[Union[_Pending, BaseException]] = []
-        touched: Dict[str, None] = {}
-        for wheel_id, n, seed, deadline_us in requests:
-            try:
-                admitted.append(self._admit(wheel_id, n, seed, deadline_us, None)[1])
-                touched[wheel_id] = None
-            except Exception as exc:  # noqa: BLE001 - handed back, not raised
-                admitted.append(exc)
-        for wheel_id in touched:
-            queue = self._queues[wheel_id]
-            self._flush(wheel_id, queue)
-            if queue.drainer is None:
-                del self._queues[wheel_id]  # nothing else will read it
-        return [a if isinstance(a, BaseException) else a.outcome for a in admitted]
-
-    def _admit(
-        self,
-        wheel_id: str,
-        n: int,
-        seed: Optional[int],
-        deadline_us: Optional[float],
-        future: Optional["asyncio.Future[np.ndarray]"],
-    ) -> Tuple[_WheelQueue, _Pending]:
-        """Admission control: queue one draw on its wheel, or raise.
-
-        A queue that reaches ``max_batch`` is flushed on the spot.
-        """
         if self._closed:
             raise ServiceOverloadedError("scheduler is closed")
         if self._draining:
@@ -270,9 +209,9 @@ class MicroBatchScheduler:
         req = _Pending(
             n=n,
             seed=seed,
+            future=asyncio.get_running_loop().create_future(),
             enqueued_at=now,
             deadline=None if deadline_us is None else now + deadline_us * 1e-6,
-            future=future,
         )
         queue = self._queues.get(wheel_id)
         if queue is None:
@@ -282,7 +221,9 @@ class MicroBatchScheduler:
         self.metrics.enqueued(n)
         if len(queue.pending) >= self.config.max_batch:
             self._flush(wheel_id, queue)
-        return queue, req
+        elif queue.drainer is None or queue.drainer.done():
+            queue.drainer = asyncio.ensure_future(self._drain(wheel_id, queue))
+        return await req.future
 
     def update(self, wheel_id: str, indices, values):
         """Mint a new wheel version from a delta; returns ``(id, info)``.
@@ -323,10 +264,13 @@ class MicroBatchScheduler:
     def _flush(self, wheel_id: str, queue: _WheelQueue) -> None:
         """Serve every pending request for one wheel in a single pass.
 
-        Each request's outcome is stored on it and, for :meth:`draw`'s
-        requests, delivered to its future.
+        The emptied queue is dropped: the next draw on the wheel starts
+        a fresh one (and its drainer), so the scheduler holds no queue
+        for a wheel — or a minted version — it is not serving.
         """
         batch, queue.pending = queue.pending, []
+        if self._queues.get(wheel_id) is queue:
+            del self._queues[wheel_id]
         if not batch:
             return
         self._queued_requests -= len(batch)
@@ -335,16 +279,15 @@ class MicroBatchScheduler:
         now = time.monotonic()
         live: List[_Pending] = []
         for req in batch:
-            if req.future is not None and req.future.cancelled():
+            if req.future.cancelled():
                 continue
             if req.deadline is not None and now > req.deadline:
                 self.metrics.expired()
-                _settle(
-                    req,
+                req.future.set_exception(
                     DeadlineExceededError(
                         f"request deadline passed after "
                         f"{(now - req.enqueued_at) * 1e6:.0f}us in queue"
-                    ),
+                    )
                 )
                 continue
             live.append(req)
@@ -362,7 +305,8 @@ class MicroBatchScheduler:
         except BaseException as exc:  # noqa: BLE001 - delivered to waiters
             for req in live:
                 self.metrics.errored()
-                _settle(req, exc)
+                if not req.future.done():
+                    req.future.set_exception(exc)
             return
         self.metrics.batch_sizes.observe(len(live))
         done = time.monotonic()
@@ -370,8 +314,9 @@ class MicroBatchScheduler:
         for req in live:
             part = draws[offset : offset + req.n].copy()
             offset += req.n
-            self.metrics.served(done - req.enqueued_at)
-            _settle(req, part)
+            if not req.future.done():
+                self.metrics.served(done - req.enqueued_at)
+                req.future.set_result(part)
 
     # ------------------------------------------------------------------
     @property

@@ -29,7 +29,7 @@ from __future__ import annotations
 import asyncio
 import collections
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Awaitable, Callable, Dict, Optional
 
 from repro.errors import ProtocolError, ServiceDrainingError
 from repro.service import frames as frames_mod
@@ -44,7 +44,31 @@ from repro.service.protocol import (
 from repro.service.registry import DEFAULT_MAX_WHEELS, WheelRegistry
 from repro.service.scheduler import BatchConfig, MicroBatchScheduler
 
-__all__ = ["SelectionService", "start_tcp_server", "serve_tcp", "serve_stdio"]
+__all__ = [
+    "SelectionService",
+    "answer_frame",
+    "start_tcp_server",
+    "serve_tcp",
+    "serve_stdio",
+]
+
+
+async def answer_frame(
+    handle: Callable[[Dict[str, Any]], Awaitable[Dict[str, Any]]],
+    ftype: int,
+    body: bytes,
+    request_id: Optional[int],
+) -> bytes:
+    """Decode one request frame, answer it with ``handle``, encode the reply.
+
+    ``handle`` is a service's request handler.  Never raises: a
+    malformed body is answered with an ERROR frame.
+    """
+    try:
+        request = frames_mod.frame_to_request(ftype, body, request_id)
+    except ProtocolError as exc:
+        return frames_mod.response_to_frame(error_response(exc, request_id))
+    return frames_mod.response_to_frame(await handle(request))
 
 
 class SelectionService:
@@ -92,9 +116,35 @@ class SelectionService:
         """Serve one decoded request dict.  Never raises."""
         request_id = request.get("id")
         try:
-            response = self._answer(request)
-            if response is not None:
-                return response
+            op = request["op"]
+            if op == "ping":
+                return ok_response(request_id, protocol=PROTOCOL_VERSION, workers=1)
+            if op == "metrics":
+                snapshot = self.metrics.snapshot(
+                    extra={"registry": self.registry.stats()}
+                )
+                return ok_response(request_id, metrics=snapshot)
+            if op == "stats":
+                return ok_response(request_id, stats=self.stats())
+            if self._draining:
+                self.metrics.drained()
+                raise ServiceDrainingError(
+                    "service is draining; retry against another replica"
+                )
+            if op == "register":
+                wheel_id, cached = self.registry.register(
+                    request["fitness"],
+                    method=request.get("method", "log_bidding"),
+                    policy=request.get("policy"),
+                    backend=request.get("backend"),
+                )
+                return ok_response(request_id, wheel=wheel_id, cached=cached)
+            if op == "update":
+                wheel_id, info = self.scheduler.update(
+                    request["wheel"], request["indices"], request["values"]
+                )
+                return ok_response(request_id, wheel=wheel_id, **info)
+            # op == "draw" (decode_request admits nothing else)
             draws = await self.scheduler.draw(
                 request["wheel"],
                 request.get("n", 1),
@@ -105,86 +155,6 @@ class SelectionService:
         except Exception as exc:  # noqa: BLE001 - answered, not raised
             return error_response(exc, request_id)
 
-    def handle_batch(self, requests: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Answer decoded requests in arrival order, with no event loop.
-
-        Never raises.  Each run of consecutive draws goes through one
-        :meth:`MicroBatchScheduler.draw_batch`, so it coalesces per
-        wheel as concurrent draws do in :meth:`handle_request`; every
-        other request is answered in its place, after the draws before
-        it.  A cluster shard serves each socket read this way.
-        """
-        responses: List[Optional[Dict[str, Any]]] = []
-        run: List[int] = []  # positions of the open run's draws
-        draws: list = []
-
-        def flush_run() -> None:
-            for position, outcome in zip(run, self.scheduler.draw_batch(draws)):
-                request_id = requests[position].get("id")
-                responses[position] = (
-                    error_response(outcome, request_id)
-                    if isinstance(outcome, BaseException)
-                    else ok_response(request_id, draws=outcome)
-                )
-            run.clear()
-            draws.clear()
-
-        for request in requests:
-            if run and request.get("op") != "draw":
-                flush_run()
-            try:
-                response = self._answer(request)
-                if response is None:
-                    draws.append(
-                        (
-                            request["wheel"],
-                            request.get("n", 1),
-                            request.get("seed"),
-                            request.get("deadline_us"),
-                        )
-                    )
-                    run.append(len(responses))
-            except Exception as exc:  # noqa: BLE001 - answered, not raised
-                response = error_response(exc, request.get("id"))
-            responses.append(response)
-        if run:
-            flush_run()
-        return responses
-
-    def _answer(self, request: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-        """The response to any request but an admissible draw (None).
-
-        Raises what the request fails with.
-        """
-        request_id = request.get("id")
-        op = request["op"]
-        if op == "ping":
-            return ok_response(request_id, protocol=PROTOCOL_VERSION, workers=1)
-        if op == "metrics":
-            snapshot = self.metrics.snapshot(extra={"registry": self.registry.stats()})
-            return ok_response(request_id, metrics=snapshot)
-        if op == "stats":
-            return ok_response(request_id, stats=self.stats())
-        if self._draining:
-            self.metrics.drained()
-            raise ServiceDrainingError(
-                "service is draining; retry against another replica"
-            )
-        if op == "register":
-            wheel_id, cached = self.registry.register(
-                request["fitness"],
-                method=request.get("method", "log_bidding"),
-                policy=request.get("policy"),
-                backend=request.get("backend"),
-            )
-            return ok_response(request_id, wheel=wheel_id, cached=cached)
-        if op == "update":
-            wheel_id, info = self.scheduler.update(
-                request["wheel"], request["indices"], request["values"]
-            )
-            return ok_response(request_id, wheel=wheel_id, **info)
-        return None  # op == "draw" (decode_request admits nothing else)
-
     async def handle_frame(
         self, ftype: int, body: bytes, request_id: Optional[int]
     ) -> bytes:
@@ -192,11 +162,7 @@ class SelectionService:
 
         Never raises: a malformed body is answered with an ERROR frame.
         """
-        try:
-            request = frames_mod.frame_to_request(ftype, body, request_id)
-        except ProtocolError as exc:
-            return frames_mod.response_to_frame(error_response(exc, request_id))
-        return frames_mod.response_to_frame(await self.handle_request(request))
+        return await answer_frame(self.handle_request, ftype, body, request_id)
 
     def stats(self) -> Dict[str, Any]:
         """The ``stats`` RPC in single-process form.

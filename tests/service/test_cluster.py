@@ -17,6 +17,7 @@ from repro.engine.compiled import _AUTO_KERNEL
 from repro.rng.streams import request_stream
 from repro.service.cluster import DEFAULT_VNODES, ClusterService, HashRing
 from repro.service.registry import WheelRegistry, digest_key, wheel_digest
+from repro.service.scheduler import BatchConfig
 from repro.service.server import SelectionService
 
 #: Stands for the id of the wheel registered before the edge requests.
@@ -168,6 +169,47 @@ class TestClusterService:
             await cluster.close()
 
         self._run(flow())
+
+    def test_overload_burst_sheds_with_explicit_responses(self):
+        """The front end bounds what each shard owes at ``queue_limit``:
+        past it a draw is answered ``overloaded`` at once, and every
+        request still gets its own response."""
+        cluster = ClusterService(
+            workers=2, seed=0, config=BatchConfig(max_batch=16, queue_limit=8)
+        )
+
+        async def burst():
+            reg = await cluster.handle_request(
+                {"op": "register", "fitness": list(range(1, 101))}
+            )
+            responses = await asyncio.gather(
+                *(
+                    cluster.handle_request(
+                        {"op": "draw", "wheel": reg["wheel"], "n": 4, "id": i}
+                    )
+                    for i in range(96)
+                )
+            )
+            stats = await cluster.stats()
+            await cluster.close()
+            return responses, stats
+
+        responses, stats = self._run(burst())
+        ok = [r for r in responses if r["status"] == "ok"]
+        overloaded = [r for r in responses if r["status"] == "overloaded"]
+        assert len(ok) == 8 and len(overloaded) == 88
+        assert {r["id"] for r in responses} == set(range(96))
+        assert [r["id"] for r in ok] == list(range(8))
+        assert stats["frontend"]["shed_total"] == 88
+        assert sum(s["latency"]["count"] for s in stats["shards"]) == 8
+        # The served draws took the auto-seeds 0-7 in arrival order.
+        registry = WheelRegistry()
+        wheel_id, _ = registry.register(list(range(1, 101)))
+        for seed, response in enumerate(ok):
+            want = registry.get(wheel_id).select_many(
+                4, rng=request_stream(0, digest_key(wheel_id), seed)
+            )
+            np.testing.assert_array_equal(response["draws"], want)
 
     def test_structured_errors_cross_the_pipe(self):
         cluster = ClusterService(workers=2, seed=0)

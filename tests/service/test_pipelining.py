@@ -2,8 +2,8 @@
 
 A framed connection keeps reading while earlier requests are served:
 requests start in arrival order and replies come back in request order.
-A cluster passes DRAW and UPDATE frames through to its shards and their
-reply frames back, byte for byte what a single process writes.
+A cluster sends framed DRAW and UPDATE requests on to its shards as
+frames, and writes byte for byte the reply frames a single process writes.
 """
 
 import asyncio

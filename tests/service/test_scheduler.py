@@ -263,3 +263,18 @@ class TestMetricsFlow:
         assert m.queue_depth == 0
         assert m.queue_peak >= 1
         assert m.latency.count == len(SIZES)
+
+    def test_flushed_queues_are_dropped(self):
+        """A queue goes once its batch is flushed, so serving many minted
+        versions leaves no per-version entry behind."""
+        reg, wid = _registry()
+        sched = MicroBatchScheduler(reg, BatchConfig(max_batch=4), seed=0)
+        versions = [reg.update(wid, [0], [float(k + 2)])[0] for k in range(20)]
+
+        async def run():
+            for version in versions:
+                await _gather_draws(sched, version, SIZES)  # max_batch and drainer flushes
+            return sched._queues
+
+        assert asyncio.run(run()) == {}
+        assert sched.metrics.ok_total == len(versions) * len(SIZES)
