@@ -18,7 +18,9 @@ this module owns everything else the six drivers used to copy:
   gate was evaluated (e.g. the sweep behind a gate a small host skips);
 * :func:`write`, which refuses any record whose *required* gate failed.
   Correctness certificates are required; timing gates stay advisory,
-  because a loaded shared host may legitimately miss a throughput target.
+  because a loaded shared host may legitimately miss a throughput target;
+* :func:`render_drift`, which ``bench NAME`` prints before it overwrites
+  a record: every gated value old -> new, and each verdict that changed.
 
 Each driver module also declares ``SMOKE``, the keyword overrides of its
 small ``--smoke`` configuration.
@@ -59,7 +61,10 @@ __all__ = [
     "run",
     "render",
     "validate",
+    "record_path",
+    "read",
     "write",
+    "render_drift",
     "verdict",
     "failed_gates",
     "render_gates",
@@ -312,10 +317,25 @@ def validate(report: Any) -> None:
                 raise ValueError(f"{path} must be {kind}, got {value!r}")
 
 
+def record_path(report: Dict[str, Any], path: Optional[str] = None) -> str:
+    """Where :func:`write` puts ``report``: ``path``, else ``BENCH_<bench>.json``."""
+    return str(path or f"BENCH_{report['bench']}.json")
+
+
+def read(path: str) -> Optional[Dict[str, Any]]:
+    """The record at ``path``, or None if there is none to read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            old = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    return old if isinstance(old, dict) and isinstance(old.get("gates"), list) else None
+
+
 def write(report: Dict[str, Any], path: Optional[str] = None) -> str:
     """Validate and write ``report`` (default ``BENCH_<bench>.json``)."""
     validate(report)
-    path = str(path or f"BENCH_{report['bench']}.json")
+    path = record_path(report, path)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
@@ -340,6 +360,31 @@ def _fmt(value: Any) -> str:
     if isinstance(value, float):
         return f"{value:.4g}"
     return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def render_drift(old: Dict[str, Any], new: Dict[str, Any]) -> str:
+    """Every gated value of ``new`` against the record ``old`` it replaces.
+
+    One line per gate, ``old -> new`` (with the relative change of a
+    number), and the verdicts when they differ; gates only one side has
+    are marked as added or dropped.
+    """
+    before = {g["name"]: g for g in old["gates"]}
+    lines = ["drift against the previous record:"]
+    for g in new["gates"]:
+        prev = before.pop(g["name"], None)
+        if prev is None:
+            lines.append(f"  {g['name']}: added, {_fmt(g['measured'])} {verdict(g)}")
+            continue
+        line = f"  {g['name']}: {_fmt(prev['measured'])} -> {_fmt(g['measured'])}"
+        a, b = prev["measured"], g["measured"]
+        if _is_number(a) and _is_number(b) and a:
+            line += f" ({(b - a) / abs(a):+.1%})"
+        if verdict(prev) != verdict(g):
+            line += f"  {verdict(prev)} -> {verdict(g)}"
+        lines.append(line)
+    lines += [f"  {name}: dropped" for name in before]
+    return "\n".join(lines)
 
 
 def render_gates(report: Dict[str, Any]) -> str:

@@ -180,11 +180,19 @@ def _run_bench(args) -> int:
     from repro.bench import record
 
     report = record.run(args.name, seed=args.seed, smoke=args.smoke)
+    path = record.record_path(report, args.output)
     try:
-        path = record.write(report, args.output)
+        record.validate(report)
     except ValueError as exc:
         print(f"bench {args.name}: record refused: {exc}", file=sys.stderr)
         return 1
+    previous = record.read(path)
+    if previous is not None:
+        # Before the old record is overwritten; on stderr under --json,
+        # whose stdout is the record alone.
+        out = sys.stderr if args.json else sys.stdout
+        print(record.render_drift(previous, report), file=out)
+    record.write(report, path)
     if args.json:
         print(json.dumps(report, indent=2))
     else:

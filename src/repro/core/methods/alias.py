@@ -38,35 +38,64 @@ class AliasTable:
         n = f.size
         # Normalise before scaling: (f / sum) * n stays finite even for
         # subnormal fitness values where n / sum would overflow.
-        scaled_arr = (f / f.sum()) * n  # mean 1 per column
-        small = np.flatnonzero(scaled_arr < 1.0).tolist()
-        large = np.flatnonzero(scaled_arr >= 1.0).tolist()
-        # The worklist loop runs on Python lists of floats: the same IEEE
-        # double arithmetic as on NumPy scalars (so the table is bitwise
-        # the same), without a NumPy scalar box per element access.
-        scaled = scaled_arr.tolist()
-        prob = [0.0] * n
-        alias = [0] * n
-        while small and large:
-            s = small.pop()
-            l = large.pop()
-            prob[s] = scaled[s]
-            alias[s] = l
-            scaled[l] = (scaled[l] + scaled[s]) - 1.0
-            (small if scaled[l] < 1.0 else large).append(l)
-        # Leftovers are numerically 1.0 columns.
-        for i in large:
-            prob[i] = 1.0
-        for i in small:
-            # Only reachable through FP cancellation; treat as full columns
-            # unless the outcome truly has zero mass.
-            prob[i] = 1.0 if f[i] > 0.0 else 0.0
-            if f[i] == 0.0 and n > 1:
-                # Redirect the empty column to any positive outcome.
-                alias[i] = int(np.flatnonzero(f > 0.0)[0])
+        scaled = (f / f.sum()) * n  # mean 1 per column
+        # Vose's worklists pop from the end, so each is kept reversed:
+        # smalls and larges in the order the loop consumes them.
+        small = np.flatnonzero(scaled < 1.0)[::-1]
+        large = np.flatnonzero(scaled >= 1.0)[::-1]
+        # Only the running value of the current large depends on the
+        # order of events.  It serves the smalls one after another until
+        # it drops below 1; its residual is then a small served at once
+        # by the next large.  The loop records where each large was
+        # exhausted and its residual, on Python floats (the same IEEE
+        # arithmetic as the element-at-a-time loop, so the table is
+        # bitwise the same); NumPy then fills the table from those points.
+        lv = scaled[large].tolist()
+        ends, residuals = [], []
+        j, done = 0, small.size if lv else 0
+        if lv:
+            v = lv[0]
+            for k, a in enumerate(scaled[small].tolist()):
+                v = (v + a) - 1.0
+                while v < 1.0:  # large j is exhausted after small k
+                    ends.append(k)
+                    residuals.append(v)
+                    j += 1
+                    if j == len(lv):
+                        break
+                    v = (lv[j] + v) - 1.0
+                else:
+                    continue
+                done = k + 1  # no large left
+                break
+        prob = np.empty(n, dtype=np.float64)
+        alias = np.zeros(n, dtype=np.int64)
+        served = small[:done]
+        prob[served] = scaled[served]
+        # Small k was served by the large after every one exhausted
+        # before it.
+        exhausted = np.bincount(np.array(ends, dtype=np.int64), minlength=done)
+        alias[served] = large[np.cumsum(exhausted) - exhausted]
+        # Each exhausted large that a next large took over.
+        handed = j if j < large.size else max(large.size - 1, 0)
+        prob[large[:handed]] = residuals[:handed]
+        alias[large[:handed]] = large[1 : handed + 1]
+        if j < large.size:
+            # Leftovers are numerically 1.0 columns.
+            prob[large[j:]] = 1.0
+        else:
+            # The larges ran out: the smalls left over (and the last
+            # large) are only reachable through FP cancellation; treat
+            # them as full columns unless the outcome truly has zero mass.
+            rest = np.concatenate((small[done:], large[large.size - 1 :]))
+            prob[rest] = np.where(f[rest] > 0.0, 1.0, 0.0)
+            empty = rest[f[rest] == 0.0]
+            if empty.size and n > 1:
+                # Redirect the empty columns to any positive outcome.
+                alias[empty] = int(np.flatnonzero(f > 0.0)[0])
         self.n = n
-        self._prob = np.array(prob, dtype=np.float64)
-        self._alias = np.array(alias, dtype=np.int64)
+        self._prob = prob
+        self._alias = alias
 
     def draw(self, rng) -> int:
         """One O(1) draw."""
@@ -89,9 +118,10 @@ class AliasTable:
         on to coalesce per-request substreams into a single lookup.
         """
         u = uniforms * self.n
-        col = np.minimum(u.astype(np.int64), self.n - 1)
-        frac = u - col
-        return np.where(frac < self._prob[col], col, self._alias[col]).astype(np.int64)
+        col = u.astype(np.int64)
+        np.minimum(col, self.n - 1, out=col)
+        u -= col  # the fractional part, in place
+        return np.where(u < self._prob.take(col), col, self._alias.take(col))
 
     @property
     def acceptance(self) -> np.ndarray:

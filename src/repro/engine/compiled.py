@@ -58,6 +58,9 @@ from repro.core.methods.base import SelectionMethod
 from repro.core.methods.binary_search import BinarySearchSelection
 from repro.errors import FitnessError, UnknownMethodError
 from repro.rng.adapters import resolve_rng
+from repro.rng.base import MASK64
+from repro.rng.splitmix import GOLDEN_GAMMA, _mix64
+from repro.rng.streams import _INV53, SplitMixStream, segment_uniforms, stream_uniforms
 from repro.typing import FitnessLike
 
 __all__ = [
@@ -120,6 +123,15 @@ WHEEL_FORMAT = "repro/compiled-wheel/v1"
 #: 1.1-1.3x at 128 spins and 1.6-2x from 1024, for 10^3-10^5 items;
 #: below 64 spins the sort costs more than it saves.
 _SORTED_SPINS = 128
+
+#: Uniform count below which a fused batch of fresh streams builds its
+#: uniforms on Python ints (``_mix64`` per uniform) instead of NumPy.
+#: On a 2-vCPU x86 host (NumPy 2.4, CPython 3.11), ``select_segments``
+#: of t draws in one segment on a 2e4-item alias wheel took ~9.4 +
+#: 0.5t us on the Python path against ~15.5 us through NumPy: they
+#: cross at about 12.  (Over three segments NumPy costs ~26 us and the
+#: crossover is about 27; one constant keeps the one-segment figure.)
+_PY_UNIFORMS = 12
 
 
 def _canonical_delta(
@@ -465,10 +477,12 @@ class CompiledWheel:
                 raise ValueError(f"segment sizes must be non-negative, got {size}")
             sizes.append(size)
         total = int(sum(sizes))
+        if total and total <= self.chunk_rows:
+            fused = self._fused_segments(segments, sizes, total)
+            if fused is not None:
+                return fused
         out = np.empty(total, dtype=np.int64)
         if total == 0:
-            return out
-        if total <= self.chunk_rows and self._fused_segments(segments, sizes, total, out):
             return out
         if self.kernel == "race":
             rows = min(self.chunk_rows, total)
@@ -482,38 +496,46 @@ class CompiledWheel:
             self._stream_segments(segments, out, buf, self._table.draw_many_from)
         return out
 
-    def _fused_segments(self, segments, sizes, total, out) -> bool:
+    def _fused_segments(self, segments, sizes, total) -> Optional[np.ndarray]:
         """Single-pass fast path for batches of fresh counter streams.
 
         When every segment source is an unused
         :class:`repro.rng.streams.SplitMixStream`, the whole batch's
-        uniforms are one vectorized :func:`segment_uniforms` call — no
-        per-segment fill loop.  Bit-identical to the generic path (the
-        counters are pure functions of position) and within the chunk
-        memory budget (the caller checks ``total <= chunk_rows``).
-        Returns False to fall back to the generic streaming loop.
+        uniforms come from one pass — no per-segment fill loop: below
+        :data:`_PY_UNIFORMS` uniforms a Python-int SplitMix64 loop,
+        otherwise one vectorized pass (without the multi-segment
+        bookkeeping when there is one segment).  Bit-identical to the
+        generic path (the counters are pure functions of position) and
+        within the chunk memory budget (the caller checks ``total <=
+        chunk_rows``).  Returns None to fall back to the generic
+        streaming loop.
         """
-        from repro.rng.streams import SplitMixStream, segment_uniforms
-
         rngs = [rng for _, rng in segments]
         if not all(type(rng) is SplitMixStream and rng.count == 0 for rng in rngs):
-            return False
-        seeds = [rng.seed for rng in rngs]
-        if self.kernel == "race":
-            counts = np.asarray(sizes, dtype=np.int64) * self.n
-            keys = segment_uniforms(seeds, counts).reshape(total, self.n)
-            out[:] = self._race_chunk(keys)
-            per_draw = self.n
+            return None
+        per_draw = self.n if self.kernel == "race" else 1
+        counts = [size * per_draw for size in sizes]
+        if total * per_draw < _PY_UNIFORMS:
+            uniforms = np.array(
+                [
+                    (_mix64((rng.seed + j * GOLDEN_GAMMA) & MASK64) >> 11) * _INV53
+                    for rng, count in zip(rngs, counts)
+                    for j in range(1, count + 1)
+                ]
+            )
+        elif len(rngs) == 1:
+            uniforms = stream_uniforms(rngs[0].seed, 1, counts[0])
         else:
-            uniforms = segment_uniforms(seeds, sizes)
-            if self.kernel == "searchsorted":
-                out[:] = self._lookup_searchsorted(uniforms)
-            else:
-                out[:] = self._table.draw_many_from(uniforms)
-            per_draw = 1
-        for rng, size in zip(rngs, sizes):
-            rng.advance(size * per_draw)
-        return True
+            uniforms = segment_uniforms([rng.seed for rng in rngs], counts)
+        if self.kernel == "race":
+            out = self._race_chunk(uniforms.reshape(total, self.n))
+        elif self.kernel == "searchsorted":
+            out = self._lookup_searchsorted(uniforms)
+        else:
+            out = self._table.draw_many_from(uniforms)
+        for rng, count in zip(rngs, counts):
+            rng.advance(count)
+        return out
 
     @staticmethod
     def _stream_segments(segments, out, buf, finish) -> None:

@@ -22,7 +22,7 @@ from repro.errors import RNGError
 from repro.rng.base import MASK64, BitGenerator
 from repro.rng.pcg import PCG32
 from repro.rng.philox import Philox4x32
-from repro.rng.splitmix import GOLDEN_GAMMA, SplitMix64
+from repro.rng.splitmix import GOLDEN_GAMMA, SplitMix64, _mix64
 from repro.rng.xoshiro import Xoshiro256StarStar
 
 __all__ = [
@@ -33,12 +33,14 @@ __all__ = [
     "derive_seeds",
     "request_stream",
     "segment_uniforms",
+    "stream_uniforms",
     "SplitMixStream",
 ]
 
 _U_GAMMA = np.uint64(GOLDEN_GAMMA)
 _U_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _U_M2 = np.uint64(0x94D049BB133111EB)
+_U11, _U27, _U30, _U31 = (np.uint64(k) for k in (11, 27, 30, 31))
 _INV53 = 1.0 / 9007199254740992.0  # 2**-53
 
 
@@ -48,11 +50,11 @@ def _vmix64(z: np.ndarray) -> np.ndarray:
     The vectorized twin of :func:`repro.rng.splitmix._mix64` — asserted
     bit-identical by the unit tests.
     """
-    z ^= z >> np.uint64(30)
+    z ^= z >> _U30
     z *= _U_M1
-    z ^= z >> np.uint64(27)
+    z ^= z >> _U27
     z *= _U_M2
-    z ^= z >> np.uint64(31)
+    z ^= z >> _U31
     return z
 
 
@@ -90,10 +92,10 @@ def derive_seed(root_seed: int, *keys: int) -> int:
     longer prefix.  Used by the selection service to key one independent
     substream per (server seed, wheel, request) without coordination.
     """
-    x = root_seed & MASK64
+    x = int(root_seed) & MASK64
     for key in keys:
-        sm = SplitMix64(x ^ ((int(key) * GOLDEN_GAMMA) & MASK64))
-        x = sm.next_uint64()
+        # One SplitMix64 step from state x ^ key*gamma, on Python ints.
+        x = _mix64(((x ^ (int(key) * GOLDEN_GAMMA & MASK64)) + GOLDEN_GAMMA) & MASK64)
     return x
 
 
@@ -136,7 +138,22 @@ def segment_uniforms(seeds, counts) -> np.ndarray:
         j *= _U_GAMMA
         j += np.repeat(seeds, counts)
         z = _vmix64(j)
-    z >>= np.uint64(11)
+    z >>= _U11
+    return z * _INV53
+
+
+def stream_uniforms(seed: int, first: int, count: int) -> np.ndarray:
+    """Uniforms ``first .. first + count - 1`` (1-based) of stream ``seed``.
+
+    ``SplitMixStream(seed).random`` in one call, without the stream: the
+    single-segment case of :func:`segment_uniforms`.
+    """
+    z = np.arange(first, first + count, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z *= _U_GAMMA
+        z += np.uint64(seed)
+        z = _vmix64(z)
+    z >>= _U11
     return z * _INV53
 
 
@@ -178,14 +195,8 @@ class SplitMixStream:
             total = int(size)
         if total < 0:
             raise RNGError(f"size must be non-negative, got {size}")
-        z = np.arange(self._count + 1, self._count + total + 1, dtype=np.uint64)
+        out = stream_uniforms(self.seed, self._count + 1, total)
         self._count += total
-        with np.errstate(over="ignore"):
-            z *= _U_GAMMA
-            z += np.uint64(self.seed)
-            z = _vmix64(z)
-        z >>= np.uint64(11)
-        out = z * _INV53
         return out.reshape(shape) if shape is not None else out
 
     def advance(self, count: int) -> None:

@@ -61,7 +61,7 @@ from repro.service import frames as frames_mod
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import PROTOCOL_VERSION, error_response, ok_response
 from repro.service.registry import DEFAULT_MAX_WHEELS, base_id, wheel_digest, wheel_tokens
-from repro.service.scheduler import BatchConfig
+from repro.service.scheduler import BatchConfig, check_draw_size
 from repro.service.server import SelectionService, answer_frame
 
 __all__ = ["HashRing", "ClusterService", "DEFAULT_VNODES"]
@@ -525,6 +525,11 @@ class ClusterService:
             return error_response(exc, request_id)
 
     async def _draw(self, request: Dict[str, Any], framed: bool) -> Dict[str, Any]:
+        # A draw takes an auto-seed under the scheduler's rule: once it
+        # is well-formed and not shed, whether or not its wheel exists.
+        if "wheel" not in request:
+            raise KeyError("wheel")
+        n = check_draw_size(request.get("n", 1), self.config.max_request_draws)
         shard = self._shard_for(request)
         if shard.draws >= self.config.queue_limit:
             # A shard answers each read at once, so its own scheduler
@@ -537,7 +542,7 @@ class ClusterService:
         if request.get("seed") is None:
             request = {**request, "seed": self._next_seed()}
         start = time.monotonic()
-        self.metrics.enqueued(int(request.get("n", 1)))
+        self.metrics.enqueued(n)
         shard.draws += 1
         try:
             response = await self._forward(shard, request, framed)

@@ -15,13 +15,20 @@ correctness headline is the **coalescing determinism contract**:
 Batching policy (per wheel):
 
 * flush immediately once ``max_batch`` requests are pending;
-* otherwise an opportunistic drainer yields to the event loop while new
-  requests keep arriving and flushes as soon as arrivals stall for one
-  tick — closed-loop clients coalesce fully without ever waiting out a
-  timer;
+* otherwise one scheduler tick (a ``loop.call_soon`` callback, armed
+  while any wheel has requests pending) looks at every pending wheel
+  once per event-loop pass and flushes each whose arrivals stalled
+  since its last look — closed-loop clients coalesce fully without
+  ever waiting out a timer, and a lone request is flushed on the first
+  pass after it arrived;
 * ``max_delay_us`` bounds the wait regardless, so open-loop trickle
   traffic sees bounded added latency.  It is a fixed deployment
   setting (``python -m repro serve --max-delay-us``).
+
+Below :data:`_PY_SEEDS` requests a flush derives its substream seeds on
+Python ints, and below ``repro.engine.compiled._PY_UNIFORMS`` uniforms
+the kernel builds those on Python ints too: NumPy's fixed per-call cost
+dominates small batches.  Both paths give the same bits.
 
 Overload policy: admission control refuses (never queues) work past
 ``queue_limit`` by raising :class:`ServiceOverloadedError`; queued
@@ -45,16 +52,28 @@ from repro.errors import (
     ServiceDrainingError,
     ServiceOverloadedError,
 )
-from repro.rng.streams import SplitMixStream, derive_seeds, request_stream
+from repro.rng.streams import SplitMixStream, derive_seed, derive_seeds, request_stream
 from repro.service.metrics import ServiceMetrics
 from repro.service.registry import WheelRegistry, digest_key
 
-__all__ = ["BatchConfig", "MicroBatchScheduler", "NaiveScheduler"]
+__all__ = ["BatchConfig", "MicroBatchScheduler", "NaiveScheduler", "check_draw_size"]
+
+#: Requests per flush below which their seeds are derived one by one on
+#: Python ints (:func:`derive_seed` from the wheel's prefix) instead of
+#: one :func:`derive_seeds` array pass.  On a 2-vCPU x86 host (NumPy
+#: 2.4, CPython 3.11) the Python path took ~1.0 us plus ~0.75 us per
+#: request and the array pass ~9 us: they cross at about 11 requests.
+_PY_SEEDS = 11
 
 
 @dataclass
 class BatchConfig:
-    """Scheduler knobs (defaults tuned for the ``bench serve`` workload)."""
+    """Scheduler knobs (defaults tuned for the ``bench serve`` workload).
+
+    A wheel's pending requests are flushed at ``max_batch``, on the first
+    scheduler tick that finds no new arrival on it since its last look,
+    or on the first tick ``max_delay_us`` after its first request.
+    """
 
     #: Requests per wheel that force an immediate flush.
     max_batch: int = 64
@@ -91,13 +110,31 @@ class _Pending:
     deadline: Optional[float] = None  # absolute monotonic time
 
 
+def check_draw_size(n, limit: int) -> int:
+    """``n`` as an int, or ``ValueError`` unless ``1 <= n <= limit``.
+
+    The one admission rule for a draw's size, applied by the scheduler
+    and, before it stamps an auto-seed, by a cluster's front end.
+    """
+    n = int(n)
+    if n <= 0:
+        raise ValueError(f"draw size must be positive, got {n}")
+    if n > limit:
+        raise ValueError(
+            f"draw size {n} exceeds max_request_draws={limit}; split the request"
+        )
+    return n
+
+
 @dataclass
 class _WheelQueue:
-    """Per-wheel pending list plus its drainer task."""
+    """One wheel's pending requests, looked at once per scheduler tick."""
 
     key: int  # substream key material from the wheel id
+    wheel: object  # the compiled wheel admission looked up
+    deadline: float  # flush by this monotonic time (max_delay_us)
     pending: List[_Pending] = field(default_factory=list)
-    drainer: Optional["asyncio.Task"] = None
+    seen: int = 1  # pending count at the last look
 
 
 class MicroBatchScheduler:
@@ -130,7 +167,10 @@ class MicroBatchScheduler:
         self.config = config or BatchConfig()
         self.seed = int(seed)
         self.metrics = metrics if metrics is not None else ServiceMetrics()
+        #: Every wheel with pending requests; the tick is armed iff this
+        #: is non-empty.
         self._queues: Dict[str, _WheelQueue] = {}
+        self._tick_handle: Optional[asyncio.Handle] = None
         self._queued_requests = 0
         self._request_counter = 0
         self._closed = False
@@ -163,15 +203,20 @@ class MicroBatchScheduler:
     ) -> np.ndarray:
         """Draw ``n`` indices from a registered wheel, coalescing freely.
 
+        An unseeded draw takes the next auto-seed once it is well-formed
+        and not shed, before its wheel is looked up — the rule a
+        cluster's front end follows too, so both answer a request stream
+        alike even after a draw on an unknown wheel.
+
         Raises
         ------
         ValueError
             ``n`` out of range, or ``seed`` outside ``[0, 2**64)``
             (raised before queueing).
-        UnknownWheelError
-            Unknown/evicted ``wheel_id`` (raised before queueing).
         ServiceOverloadedError
             Admission control refused the request (queue at bound).
+        UnknownWheelError
+            Unknown ``wheel_id`` (raised before queueing).
         DeadlineExceededError
             The request was queued but its deadline passed unserved.
         """
@@ -182,21 +227,13 @@ class MicroBatchScheduler:
                 "scheduler is draining; in-flight requests are completing "
                 "but new draws are refused"
             )
-        n = int(n)
-        if n <= 0:
-            raise ValueError(f"draw size must be positive, got {n}")
-        if n > self.config.max_request_draws:
-            raise ValueError(
-                f"draw size {n} exceeds max_request_draws="
-                f"{self.config.max_request_draws}; split the request"
-            )
+        n = check_draw_size(n, self.config.max_request_draws)
         if seed is not None:
             # Checked here, not at flush: a bad seed must not fail the
             # requests it would have coalesced with.
             seed = int(seed)
             if not 0 <= seed < 1 << 64:
                 raise ValueError(f"draw seed must lie in [0, 2**64), got {seed}")
-        self.registry.get(wheel_id)  # raise UnknownWheelError pre-admission
         if self._queued_requests >= self.config.queue_limit:
             self.metrics.shed()
             raise ServiceOverloadedError(
@@ -205,24 +242,28 @@ class MicroBatchScheduler:
             )
         if seed is None:
             seed = self.next_request_seed()
+        wheel = self.registry.get(wheel_id)  # raise UnknownWheelError pre-admission
+        loop = asyncio.get_running_loop()
         now = time.monotonic()
         req = _Pending(
             n=n,
             seed=seed,
-            future=asyncio.get_running_loop().create_future(),
+            future=loop.create_future(),
             enqueued_at=now,
             deadline=None if deadline_us is None else now + deadline_us * 1e-6,
         )
         queue = self._queues.get(wheel_id)
         if queue is None:
-            queue = self._queues[wheel_id] = _WheelQueue(key=digest_key(wheel_id))
+            queue = self._queues[wheel_id] = _WheelQueue(
+                digest_key(wheel_id), wheel, now + self.config.max_delay_us * 1e-6
+            )
         queue.pending.append(req)
         self._queued_requests += 1
         self.metrics.enqueued(n)
         if len(queue.pending) >= self.config.max_batch:
             self._flush(wheel_id, queue)
-        elif queue.drainer is None or queue.drainer.done():
-            queue.drainer = asyncio.ensure_future(self._drain(wheel_id, queue))
+        elif self._tick_handle is None:
+            self._tick_handle = loop.call_soon(self._tick)
         return await req.future
 
     def update(self, wheel_id: str, indices, values):
@@ -245,28 +286,27 @@ class MicroBatchScheduler:
         self.metrics.updated(len(indices), time.monotonic() - start)
         return new_id, info
 
-    async def _drain(self, wheel_id: str, queue: _WheelQueue) -> None:
-        """Opportunistic flush: wait while arrivals continue, never past
-        ``max_delay_us``."""
-        deadline = time.monotonic() + self.config.max_delay_us * 1e-6
-        seen = len(queue.pending)
-        while queue.pending:
-            await asyncio.sleep(0)
+    def _tick(self) -> None:
+        """Flush every wheel whose arrivals stalled since its last look
+        (or that waited ``max_delay_us``); re-arm while any is left."""
+        self._tick_handle = None
+        now = time.monotonic()
+        for wheel_id, queue in list(self._queues.items()):
             arrived = len(queue.pending)
-            if arrived == 0:
-                return  # a max_batch flush emptied the queue
-            if arrived == seen or time.monotonic() >= deadline:
+            if arrived == queue.seen or now >= queue.deadline:
                 self._flush(wheel_id, queue)
-                return
-            seen = arrived
+            else:
+                queue.seen = arrived
+        if self._queues:
+            self._tick_handle = asyncio.get_running_loop().call_soon(self._tick)
 
     # ------------------------------------------------------------------
     def _flush(self, wheel_id: str, queue: _WheelQueue) -> None:
         """Serve every pending request for one wheel in a single pass.
 
         The emptied queue is dropped: the next draw on the wheel starts
-        a fresh one (and its drainer), so the scheduler holds no queue
-        for a wheel — or a minted version — it is not serving.
+        a fresh one, so the scheduler holds no queue for a wheel — or a
+        minted version — it is not serving.
         """
         batch, queue.pending = queue.pending, []
         if self._queues.get(wheel_id) is queue:
@@ -294,14 +334,19 @@ class MicroBatchScheduler:
         if not live:
             return
         try:
-            wheel = self.registry.get(wheel_id)
-            # One vectorized derivation per flush; each element equals
-            # request_stream(self.seed, queue.key, req.seed)'s seed.
-            seeds = derive_seeds(self.seed, [req.seed for req in live], queue.key)
-            segments = [
-                (req.n, SplitMixStream(int(s))) for req, s in zip(live, seeds)
-            ]
-            draws = wheel.select_segments(segments)
+            # Each seed equals request_stream(self.seed, queue.key,
+            # req.seed)'s: one by one on Python ints for a small batch,
+            # in one array pass for a large one.
+            if len(live) < _PY_SEEDS:
+                prefix = derive_seed(self.seed, queue.key)
+                seeds = [derive_seed(prefix, req.seed) for req in live]
+            else:
+                seeds = derive_seeds(
+                    self.seed, [req.seed for req in live], queue.key
+                ).tolist()
+            draws = queue.wheel.select_segments(
+                [(req.n, SplitMixStream(s)) for req, s in zip(live, seeds)]
+            )
         except BaseException as exc:  # noqa: BLE001 - delivered to waiters
             for req in live:
                 self.metrics.errored()
@@ -312,7 +357,9 @@ class MicroBatchScheduler:
         done = time.monotonic()
         offset = 0
         for req in live:
-            part = draws[offset : offset + req.n].copy()
+            # A lone request owns the whole array; batched ones get copies
+            # so that no reply keeps its neighbours' draws alive.
+            part = draws if len(live) == 1 else draws[offset : offset + req.n].copy()
             offset += req.n
             if not req.future.done():
                 self.metrics.served(done - req.enqueued_at)
@@ -325,9 +372,11 @@ class MicroBatchScheduler:
         return self._queued_requests
 
     def _flush_all(self) -> None:
+        """Flush every pending wheel now and disarm the tick."""
+        if self._tick_handle is not None:
+            self._tick_handle.cancel()
+            self._tick_handle = None
         for wheel_id, queue in list(self._queues.items()):
-            if queue.drainer is not None and not queue.drainer.done():
-                queue.drainer.cancel()
             self._flush(wheel_id, queue)
 
     async def drain(self) -> None:
@@ -344,7 +393,7 @@ class MicroBatchScheduler:
         await asyncio.sleep(0)
 
     async def close(self) -> None:
-        """Flush every queue, cancel drainers, and refuse further work."""
+        """Flush every queue, disarm the tick, and refuse further work."""
         self._closed = True
         self._flush_all()
         await asyncio.sleep(0)

@@ -241,9 +241,11 @@ async def _serve_framed_connection(
     up to :data:`MAX_IN_FLIGHT` at a time.  Each request starts as a
     ``service.handle_frame`` task in arrival order — so admission,
     auto-seeds and an UPDATE's registry write happen in the order the
-    client sent them — and replies are written in request order.  A
-    cluster's ``handle_frame`` forwards DRAW and UPDATE frames to their
-    shard as they are and hands back the shard's reply frame.
+    client sent them — and replies are written in request order: every
+    reply ready in one event-loop pass goes out in one ``writer.write``
+    on the next.  A cluster's ``handle_frame`` forwards DRAW and UPDATE
+    frames to their shard as they are and hands back the shard's reply
+    frame.
 
     Malformed frame *bodies* are answered with ERROR frames and the
     connection continues (framing stays synchronized because the body
@@ -263,23 +265,33 @@ async def _serve_framed_connection(
     # frame is None until its response is encoded.
     replies: "collections.deque[list]" = collections.deque()
     written: Optional["asyncio.Future"] = None
+    flushing: Optional[asyncio.Handle] = None
 
     def flush() -> None:
-        """Write every encoded reply at the head of the line."""
+        """Write every encoded reply at the head of the line, at once."""
+        nonlocal flushing
+        flushing = None
+        ready = []
         while replies and replies[0][0] is not None:
-            frame = replies.popleft()[0]
-            if not writer.is_closing():  # else the client is gone
-                writer.write(frame)
+            ready.append(replies.popleft()[0])
+        if ready and not writer.is_closing():  # else the client is gone
+            writer.write(b"".join(ready))
         if written is not None and not written.done():
             written.set_result(None)
 
+    def encoded() -> None:
+        """A reply is ready: write it with the rest of this loop pass's."""
+        nonlocal flushing
+        if flushing is None:
+            flushing = loop.call_soon(flush)
+
     def reply(frame: bytes) -> None:
         replies.append([frame, None])
-        flush()
+        encoded()
 
     async def serve(cell: list, ftype: int, body: bytes, request_id) -> None:
         cell[0] = await service.handle_frame(ftype, body, request_id)
-        flush()
+        encoded()
 
     async def settle(limit: int) -> None:
         """Wait until at most ``limit`` replies are unwritten."""

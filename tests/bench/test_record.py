@@ -305,3 +305,37 @@ def test_import_repro_loads_no_driver():
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_render_drift_names_every_gate_and_each_verdict_change():
+    sections = {"a": {"x": 2.0, "ok": True}}
+    old = {"gates": [record.gate(sections, "a.x", ">=", 3.0), record.skip("a.z", "<=", 1, "no")]}
+    sections["a"]["x"] = 4.0
+    new = {
+        "gates": [
+            record.gate(sections, "a.x", ">=", 3.0),
+            record.gate(sections, "a.ok", "==", True),
+        ]
+    }
+    lines = record.render_drift(old, new).splitlines()
+    assert lines[1] == "  a.x: 2 -> 4 (+100.0%)  NOT MET -> MET"
+    assert lines[2] == "  a.ok: added, true MET"
+    assert lines[3] == "  a.z: dropped"
+
+
+def test_bench_prints_drift_before_overwriting(monkeypatch, tmp_path, capsys):
+    committed = json.loads((_ROOT / "BENCH_race.json").read_text())
+    previous = json.loads(json.dumps(committed))
+    first = previous["gates"][0]
+    first["measured"] = "stale"
+    path = tmp_path / "BENCH_race.json"
+    path.write_text(json.dumps(previous))
+    monkeypatch.setattr(record, "run", lambda name, **kwargs: committed)
+    assert cli_main(["bench", "race", "--output", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert f"  {first['name']}: stale -> " in out
+    assert out.index("drift against the previous record") < out.index("recorded ->")
+    assert json.loads(path.read_text()) == committed
+    # A fresh path has nothing to compare with.
+    assert cli_main(["bench", "race", "--output", str(tmp_path / "new.json")]) == 0
+    assert "drift against" not in capsys.readouterr().out

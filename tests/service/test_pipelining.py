@@ -335,3 +335,31 @@ def test_reply_stream_cut_at_any_byte_fails_only_what_is_owed():
                     assert str(error).startswith("shard 1 exited")
     finally:
         loop.close()
+
+
+def test_a_pipelined_burst_is_written_in_fewer_writes_than_replies(monkeypatch):
+    """Replies ready in one loop pass leave in one write, in request order."""
+    service = SelectionService(seed=0)
+    wheel = wheel_digest(FITNESS, "log_bidding", "auto")
+    writes = []
+    write = asyncio.StreamWriter.write
+
+    def counted(self, data):
+        header = data[: frames.HEADER_SIZE]
+        if header[:1] == bytes([frames.MAGIC]) and frames.parse_header(header)[0] >= frames.FT_OK:
+            writes.append(len(data))  # the server's reply writes only
+        return write(self, data)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "write", counted)
+    draws = [
+        {"op": "draw", "wheel": wheel, "n": 1 + i % 5, "seed": i, "id": i} for i in range(16)
+    ]
+
+    async def flow():
+        await service.handle_request({"op": "register", "fitness": FITNESS})
+        return await _pipeline(service, _frames(*draws), len(draws))
+
+    replies = _run(flow())
+    assert [r["id"] for r in replies] == [d["id"] for d in draws]
+    assert [len(r["draws"]) for r in replies] == [d["n"] for d in draws]
+    assert 1 <= len(writes) < len(draws)

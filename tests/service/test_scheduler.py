@@ -130,6 +130,51 @@ class TestCoalescing:
         assert sched.metrics.batch_sizes.snapshot()["batches"] == 1
 
 
+class TestTick:
+    """One scheduler tick looks at every pending wheel once per loop pass."""
+
+    def test_a_burst_on_k_wheels_flushes_each_wheel_once(self):
+        reg = WheelRegistry()
+        wids = [reg.register(np.arange(1.0, 30.0 + k))[0] for k in range(5)]
+        sched = MicroBatchScheduler(reg, BatchConfig(max_batch=64), seed=2)
+
+        async def burst():
+            # Interleaved: every wheel gets a request before any gets two.
+            return await asyncio.gather(
+                *(sched.draw(wid, 3, seed=i) for i in range(4) for wid in wids)
+            )
+
+        draws = asyncio.run(burst())
+        assert sched.metrics.batch_sizes.snapshot()["sizes"] == {"4": len(wids)}
+        assert sched._queues == {} and sched._tick_handle is None
+        got = iter(draws)
+        for i in range(4):
+            for wid in wids:
+                solo = reg.get(wid).select_many(3, request_stream(2, digest_key(wid), i))
+                np.testing.assert_array_equal(next(got), solo)
+
+    @pytest.mark.parametrize("stop", ["drain", "close"])
+    def test_drain_and_close_leave_no_armed_wheel(self, stop):
+        reg, wid = _registry()
+        other, _ = reg.register(np.arange(1.0, 50.0))
+        sched = MicroBatchScheduler(reg, BatchConfig(max_delay_us=1e6), seed=0)
+
+        async def run():
+            tasks = [
+                asyncio.ensure_future(sched.draw(w, 2, seed=i))
+                for i, w in enumerate([wid, other, wid])
+            ]
+            await asyncio.sleep(0)  # the draws are admitted, not flushed
+            assert set(sched._queues) == {wid, other}
+            assert sched._tick_handle is not None
+            await getattr(sched, stop)()
+            assert sched._queues == {} and sched._tick_handle is None
+            return await asyncio.gather(*tasks)
+
+        assert [len(d) for d in asyncio.run(run())] == [2, 2, 2]
+        assert sched.metrics.batch_sizes.snapshot()["batches"] == 2
+
+
 class TestBatchConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -273,7 +318,7 @@ class TestMetricsFlow:
 
         async def run():
             for version in versions:
-                await _gather_draws(sched, version, SIZES)  # max_batch and drainer flushes
+                await _gather_draws(sched, version, SIZES)  # max_batch and tick flushes
             return sched._queues
 
         assert asyncio.run(run()) == {}

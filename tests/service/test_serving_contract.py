@@ -11,12 +11,15 @@ must match exactly (``stats`` need only answer ``ok``).  The variants:
 * draws ``gather``ed concurrently, so they coalesce in the micro-batcher,
   against the same draws answered one at a time;
 * a 2-shard cluster with a 3-wheel registry per shard against a 1-shard
-  cluster (fewer examples: each one forks three shard processes).
+  cluster (fewer examples: each one forks three shard processes);
+* a 2-shard cluster against a single process.
 
-Draws carry explicit seeds, so the reply depends only on the wheel, the
-size and the seed.  Fitness values come from a tiny pool (zeros and
-1e-300 included), so registrations repeat, updates collide and
-degenerate wheels are refused alike on both sides.
+A draw carries an explicit seed, so its reply depends only on the wheel,
+the size and the seed, or none: it then takes the next auto-seed, which
+both sides must assign alike, also after a draw on an unknown wheel.
+Fitness values come from a tiny pool (zeros and 1e-300 included), so
+registrations repeat, updates collide and degenerate wheels are refused
+alike on both sides.
 """
 
 import asyncio
@@ -27,10 +30,11 @@ from hypothesis import strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, multiple, rule
 
 from repro.service.cluster import ClusterService
+from repro.service.registry import wheel_digest
 from repro.service.server import SelectionService
 
 _VALUES = st.sampled_from([0.0, 1e-300, 0.5, 1.0, 2.0, 3.0])
-_SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
+_SEEDS = st.none() | st.integers(min_value=0, max_value=2**64 - 1)
 #: A well-formed id no registry ever mints (unknown-wheel answers must
 #: match too).
 _NEVER_MINTED = "w1:" + "0" * 64
@@ -128,7 +132,11 @@ class ServingContract(RuleBasedStateMachine):
     )
     def draw(self, draws):
         requests = [
-            self._stamp({"op": "draw", "wheel": w, "n": n, "seed": seed})
+            self._stamp(
+                {"op": "draw", "wheel": w, "n": n}
+                if seed is None
+                else {"op": "draw", "wheel": w, "n": n, "seed": seed}
+            )
             for w, n, seed in draws
         ]
         run = self.loop.run_until_complete
@@ -175,6 +183,13 @@ class ShardCount(ServingContract):
         )
 
 
+class SingleProcessVsCluster(ServingContract):
+    gather = True
+
+    def make_services(self):
+        return SelectionService(seed=7), ClusterService(workers=2, seed=7)
+
+
 TestTinyRegistry = TinyRegistry.TestCase
 TestTinyRegistry.settings = settings(
     max_examples=40, stateful_step_count=40, deadline=None, derandomize=True
@@ -187,3 +202,39 @@ TestShardCount = ShardCount.TestCase
 TestShardCount.settings = settings(
     max_examples=4, stateful_step_count=40, deadline=None, derandomize=True
 )
+TestSingleProcessVsCluster = SingleProcessVsCluster.TestCase
+TestSingleProcessVsCluster.settings = settings(
+    max_examples=4, stateful_step_count=40, deadline=None, derandomize=True
+)
+
+
+def test_refused_draws_take_auto_seeds_alike():
+    """A draw refused for its size or for lacking a wheel takes no
+    auto-seed; one on an unknown wheel takes one.  A single process and
+    a cluster apply that rule alike, so the last draw matches."""
+    fitness = [1.0, 2.0, 3.0, 4.0]
+    wheel = wheel_digest(np.asarray(fitness), "log_bidding", "auto")
+    requests = [
+        {"op": "register", "fitness": fitness},
+        {"op": "draw", "wheel": wheel, "n": 0},
+        {"op": "draw", "wheel": wheel, "n": (1 << 20) + 1},
+        {"op": "draw", "n": 3},
+        {"op": "draw", "wheel": _NEVER_MINTED, "n": 3},
+        {"op": "draw", "wheel": wheel, "n": 8},
+    ]
+    loop = asyncio.new_event_loop()
+    services = SelectionService(seed=7), ClusterService(workers=2, seed=7)
+
+    def answers(service):
+        run = loop.run_until_complete
+        return [_plain(run(service.handle_request(dict(r, id=i)))) for i, r in enumerate(requests)]
+
+    try:
+        single, cluster = map(answers, services)
+    finally:
+        for service in services:
+            loop.run_until_complete(service.close())
+        loop.run_until_complete(_cancel_leftovers())
+        loop.close()
+    assert [r["status"] for r in single] == ["ok", "error", "error", "error", "error", "ok"]
+    assert cluster == single
